@@ -481,12 +481,17 @@ def bent_leaf(p: BoundaryPoint, theta: float, tol: float = 1e-8) -> Arc:
     for branches in ((0, 1), (0, 0), (1, 1)):
         fn = residual_fn(branches)
         for s0 in starts:
-            sol = root(fn, s0, method="hybr", tol=1e-12)
-            res = float(np.linalg.norm(fn(sol.x)))
-            if res > tol:
+            # hybr may step to log-parameters whose exp overflows; that
+            # start has failed, the next one may still converge
+            try:
+                sol = root(fn, s0, method="hybr", tol=1e-12)
+                res = float(np.linalg.norm(fn(sol.x)))
+                if res > tol:
+                    continue
+                a = _branch_point(math.exp(sol.x[0]), branches[0], theta)
+                b = _branch_point(math.exp(sol.x[1]), branches[1], theta)
+            except OverflowError:
                 continue
-            a = _branch_point(math.exp(sol.x[0]), branches[0], theta)
-            b = _branch_point(math.exp(sol.x[1]), branches[1], theta)
             if a.close_to(b, 1e-10):
                 continue
             arc = Arc(a, b)
@@ -572,7 +577,7 @@ def mobius_sample(
         )
     from .hermitian import Model, cayley
 
-    jinv = np.linalg.inv(_SIEGEL_J)
+    jinv = Model.SIEGEL.inverse
     images = []
     coords = []
     for i in range(n):

@@ -28,7 +28,7 @@ from .hermitian import (
     TOL_NULL,
     TOL_TRACE,
 )
-from .slimness import sweep
+from .slimness import rows_to_csv, spearman_neg_tau_vs_sup, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -120,22 +120,43 @@ def cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
     json_path = out_dir / "sweep.json"
-    phases = list(np.linspace(phase_lo, phase_hi, n_phases))
+    metadata = _metadata(cfg, args.seed)
+    phases = [float(phi) for phi in np.linspace(phase_lo, phase_hi, n_phases)]
+    # Finished rows are keyed by their index in `phases`; a file from
+    # another config (or without indices) is never resumed over.
+    done: dict[int, dict] = {}
     if args.resume and json_path.exists():
-        done = json.loads(json_path.read_text()).get("rows", [])
-        done_phases = {row["phase"] for row in done if row.get("error") is None}
-        phases = [phi for phi in phases if phi not in done_phases]
-        print(f"resume: {len(done_phases)} phases already complete")
+        old = json.loads(json_path.read_text())
+        old_rows = old.get("rows", [])
+        old_hash = old.get("metadata", {}).get("config_hash")
+        if old_hash != metadata["config_hash"] or any(
+            "index" not in row for row in old_rows
+        ):
+            print(
+                f"config error: {json_path} was not written by this config; "
+                "refusing to resume over it",
+                file=sys.stderr,
+            )
+            return EXIT_CONFIG
+        done = {row["index"]: row for row in old_rows if row["error"] is None}
+        print(f"resume: {len(done)} phases already complete")
+    todo = [k for k in range(n_phases) if k not in done]
     t0 = time.time()
-    result = sweep(p, q, r, phases, word_length, dedup_eps)
+    result = sweep(p, q, r, [phases[k] for k in todo], word_length, dedup_eps)
     runtime = time.time() - t0
-    csv_path.write_text(result.to_csv())
+    index_of = {phases[k]: k for k in todo}
+    rows = list(done.values())
+    for row in result.row_dicts():
+        rows.append(dict(row, index=index_of[row["phase"]]))
+    rows.sort(key=lambda row: -row["tau"][0] if row["error"] is None else math.inf)
+    csv_path.write_text(rows_to_csv(rows))
     payload = json.loads(result.to_json(runtime))
-    payload["metadata"] = _metadata(cfg, args.seed)
+    payload["rows"] = rows
+    payload["metadata"] = metadata
     json_path.write_text(json.dumps(payload, indent=1))
-    ok_rows = [row for row in result.rows if row.error is None]
+    ok_rows = [row for row in rows if row["error"] is None]
     if len(ok_rows) >= 3:
-        rho = result.spearman_neg_tau_vs_sup()
+        rho = spearman_neg_tau_vs_sup(rows)
         print(f"monotone trend: spearman(-tau, sup) = {rho:.4f}")
     for row in result.rows:
         if row.error is not None:
@@ -250,9 +271,7 @@ def make_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", default=None, help="JSON config file")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--jobs", type=int, default=1, help="worker count")
         sp.add_argument("--seed", type=int, default=0, help="random seed")
-        sp.add_argument("--resume", action="store_true", help="skip completed work")
 
     sp = sub.add_parser("cartan", help="angular invariant of three points")
     sp.add_argument(
@@ -264,6 +283,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="deformation sweep of limit-set slimness")
     common(sp)
+    sp.add_argument(
+        "--resume",
+        action="store_true",
+        help="keep the finished rows of the output and compute only the rest",
+    )
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("crown", help="build and certify a crown")

@@ -25,7 +25,13 @@ from .circles import (
     arcs_intersect,
     spiral_point,
 )
-from .groups import LimitSetSample, Representation, enumerate_words, limit_set
+from .groups import (
+    LimitSetSample,
+    Representation,
+    _Dedup,
+    enumerate_words,
+    limit_set,
+)
 from .hermitian import (
     ElementClass,
     GeometryError,
@@ -83,19 +89,11 @@ def build_crown(
     if gamma.classification.kind is not ElementClass.LOXODROMIC:
         raise GeometryError("crown core element must be loxodromic")
     arcs: list[tuple[str, Arc]] = []
-    keys: list[np.ndarray] = []
+    kept = _Dedup(dedup_eps)
 
     def push(label: str, arc: Arc) -> None:
-        k1 = _fixed_pair_key(arc)
-        k2 = _fixed_pair_key(arc.opposite())
-        for k in keys:
-            if (
-                np.linalg.norm(k - k1) < dedup_eps
-                or np.linalg.norm(k - k2) < dedup_eps
-            ):
-                return
-        keys.append(k1)
-        arcs.append((label, arc))
+        if kept.add(np.stack([_fixed_pair_key(arc), _fixed_pair_key(arc.opposite())])):
+            arcs.append((label, arc))
 
     push("", axis_at_infinity(gamma))
     if length > 0:

@@ -30,7 +30,8 @@ from .hermitian import (
     point_type,
 )
 
-_OMEGA = cmath.exp(2j * math.pi / 3)
+# The three central lifts of a projective matrix differ by these scalars.
+_CENTRAL = np.array([1.0, cmath.exp(2j * math.pi / 3), cmath.exp(-2j * math.pi / 3)])
 
 
 @dataclass(frozen=True)
@@ -220,24 +221,32 @@ def _admissible_phase_bracket(
     return float(phis[best_lo]) + eps, float(phis[best_hi - 1]) - eps
 
 
-def _canonical_lift(m: np.ndarray) -> np.ndarray:
-    """Central lift with the leading entry's phase in [-pi/3, pi/3)."""
-    k = int(np.argmax(np.abs(m)))
-    theta = cmath.phase(m.flat[k])
-    best = m
-    for t in range(3):
-        cand_theta = theta + t * 2 * math.pi / 3
-        cand_theta = (cand_theta + math.pi) % (2 * math.pi) - math.pi
-        if -math.pi / 3 <= cand_theta < math.pi / 3:
-            best = m * _OMEGA**t
-            break
-    return best
+class _Dedup:
+    """First-come deduplication of keys under the Euclidean norm.
 
+    Accepted keys live in a growing (K, d) array, so one numpy expression
+    answers whether any variant of a candidate lies within tol of a kept
+    key.
+    """
 
-def _projectively_equal(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    return any(
-        float(np.linalg.norm(a - b * _OMEGA**k)) < tol for k in range(3)
-    )
+    def __init__(self, tol: float):
+        self.tol = tol
+        self._keys: np.ndarray | None = None
+        self._n = 0
+
+    def add(self, variants: np.ndarray) -> bool:
+        """Keep variants[0] unless some variant is within tol of a kept key."""
+        variants = np.atleast_2d(variants)
+        if self._keys is None:
+            self._keys = np.empty((64, variants.shape[1]), variants.dtype)
+        kept = self._keys[: self._n]
+        if (np.linalg.norm(kept - variants[:, None, :], axis=-1) < self.tol).any():
+            return False
+        if self._n == len(self._keys):
+            self._keys = np.concatenate([self._keys, np.empty_like(self._keys)])
+        self._keys[self._n] = variants[0]
+        self._n += 1
+        return True
 
 
 def enumerate_words(
@@ -251,7 +260,8 @@ def enumerate_words(
     """
     if length < 1:
         raise GeometryError("word length must be at least 1")
-    kept_mats: list[np.ndarray] = [np.eye(3, dtype=complex)]
+    kept = _Dedup(tol_dedup)
+    kept.add(np.eye(3, dtype=complex).ravel())
     out: list[tuple[str, GroupElement]] = [("", GroupElement(np.eye(3)))]
     frontier = [("", np.eye(3, dtype=complex))]
     for _ in range(length):
@@ -262,10 +272,9 @@ def enumerate_words(
                 if k == last:
                     continue
                 m = mat @ rep.generators[int(k) - 1].matrix
-                if any(_projectively_equal(m, km, tol_dedup) for km in kept_mats):
+                if not kept.add(m.ravel() * _CENTRAL[:, None]):
                     continue
-                kept_mats.append(m)
-                g = GroupElement(m.copy())
+                g = GroupElement(m)
                 out.append((word + k, g))
                 new_frontier.append((word + k, m))
         frontier = new_frontier
@@ -307,7 +316,7 @@ def limit_set(
     """Attracting fixed points of all loxodromic words up to a length."""
     words = enumerate_words(rep, length)
     pts: list[BoundaryPoint] = []
-    coords: list[np.ndarray] = []
+    kept = _Dedup(eps)
     for _, g in words:
         try:
             cls = g.classification
@@ -321,11 +330,8 @@ def limit_set(
                 p = BoundaryPoint.from_lift(fp.representative, tol=1e-4)
             except GeometryError:
                 continue
-            c = np.concatenate([[w.real, w.imag] for w in p.ball_coords()])
-            if any(np.linalg.norm(c - c0) < eps for c0 in coords):
-                continue
-            coords.append(c)
-            pts.append(p)
+            if kept.add(np.concatenate([[w.real, w.imag] for w in p.ball_coords()])):
+                pts.append(p)
     if not pts:
         raise GeometryError("no loxodromic word found up to the given length")
     return LimitSetSample(_angular_order(pts), length, eps)

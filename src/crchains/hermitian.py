@@ -51,6 +51,9 @@ _CAYLEY = np.array(
 )
 _CAYLEY_INV = np.diag([1.0, 0.5, 1.0]) @ _CAYLEY
 
+_H_BALL_INV = np.linalg.inv(_H_BALL)
+_H_SIEGEL_INV = np.linalg.inv(_H_SIEGEL)
+
 
 class Model(Enum):
     """Choice of Hermitian form on C^3."""
@@ -61,6 +64,10 @@ class Model(Enum):
     @property
     def matrix(self) -> np.ndarray:
         return _H_BALL if self is Model.BALL else _H_SIEGEL
+
+    @property
+    def inverse(self) -> np.ndarray:
+        return _H_BALL_INV if self is Model.BALL else _H_SIEGEL_INV
 
 
 class PointType(Enum):
@@ -78,7 +85,7 @@ class HVector:
 
     def __post_init__(self):
         v = np.asarray(self.entries, dtype=complex).reshape(3)
-        if not np.any(v):
+        if not v.any():
             raise GeometryError("zero vector is not a valid lift")
         object.__setattr__(self, "entries", v)
 
@@ -106,7 +113,7 @@ class HVector:
         )
 
     def proportional_to(self, other: "HVector", tol: float = 1e-9) -> bool:
-        c = np.cross(self.entries, other.entries)
+        c = _cross3(self.entries, other.entries)
         scale = float(np.linalg.norm(self.entries) * np.linalg.norm(other.entries))
         return float(np.linalg.norm(c)) < tol * scale
 
@@ -119,6 +126,15 @@ def _check_models(*vs: HVector) -> Model:
                 f"mixed models {model.value} and {v.model.value}"
             )
     return model
+
+
+_ROLL1 = np.array([1, 2, 0])
+_ROLL2 = np.array([2, 0, 1])
+
+
+def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of two 3-vectors; bit-identical to np.cross, faster."""
+    return a[_ROLL1] * b[_ROLL2] - a[_ROLL2] * b[_ROLL1]
 
 
 def herm_inner(a: HVector, b: HVector) -> complex:
@@ -134,12 +150,11 @@ def box(a: HVector, b: HVector) -> HVector | None:
     vanishes and there is no well-defined polar point).
     """
     model = _check_models(a, b)
-    cross = np.cross(a.entries, b.entries)
+    cross = _cross3(a.entries, b.entries)
     scale = float(np.linalg.norm(a.entries) * np.linalg.norm(b.entries))
     if np.linalg.norm(cross) < 1e-14 * scale:
         return None
-    j_inv = np.linalg.inv(model.matrix)
-    return HVector(np.conj(j_inv @ cross), model)
+    return HVector(np.conj(model.inverse @ cross), model)
 
 
 def det3(a: HVector, b: HVector, c: HVector) -> complex:
@@ -334,7 +349,7 @@ def random_form_preserving(
     """
     j = model.matrix
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    jinv = np.linalg.inv(j)
+    jinv = model.inverse
     x = 0.5 * (a - jinv @ a.conj().T @ j)
     x -= np.trace(x) / 3.0 * np.eye(3)
     from scipy.linalg import expm

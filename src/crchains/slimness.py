@@ -189,32 +189,26 @@ class SweepResult:
     dedup_eps: float
 
     def spearman_neg_tau_vs_sup(self) -> float:
-        ok = [r for r in self.rows if r.error is None]
-        rho, _ = spearmanr(
-            [-r.tau.real for r in ok], [r.sup_estimate for r in ok]
-        )
-        return float(rho)
+        return spearman_neg_tau_vs_sup(self.row_dicts())
+
+    def row_dicts(self) -> list[dict]:
+        """JSON-ready rows; the argmax triple is kept as point strings."""
+        return [
+            {
+                "phase": r.phase,
+                "tau": [r.tau.real, r.tau.imag],
+                "n_points": r.n_points,
+                "sup_estimate": r.sup_estimate,
+                "argmax": (
+                    None if r.error is not None else [str(p) for p in r.argmax]
+                ),
+                "error": r.error,
+            }
+            for r in self.rows
+        ]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(
-            ["phase", "tau_re", "tau_im", "n_points", "sup_estimate", "argmax"]
-        )
-        for r in self.rows:
-            if r.error is not None:
-                continue
-            w.writerow(
-                [
-                    f"{r.phase:.12g}",
-                    f"{r.tau.real:.12g}",
-                    f"{r.tau.imag:.12g}",
-                    r.n_points,
-                    f"{r.sup_estimate:.12g}",
-                    " ".join(str(p) for p in r.argmax),
-                ]
-            )
-        return buf.getvalue()
+        return rows_to_csv(self.row_dicts())
 
     def to_json(self, runtime: float | None = None) -> str:
         return json.dumps(
@@ -222,18 +216,37 @@ class SweepResult:
                 "word_length": self.word_length,
                 "dedup_eps": self.dedup_eps,
                 "runtime_seconds": runtime,
-                "rows": [
-                    {
-                        "phase": r.phase,
-                        "tau": [r.tau.real, r.tau.imag],
-                        "n_points": r.n_points,
-                        "sup_estimate": r.sup_estimate,
-                        "error": r.error,
-                    }
-                    for r in self.rows
-                ],
+                "rows": self.row_dicts(),
             }
         )
+
+
+def spearman_neg_tau_vs_sup(rows: list[dict]) -> float:
+    """Rank correlation of -Re(tau) with the supremum over successful rows."""
+    ok = [r for r in rows if r["error"] is None]
+    rho, _ = spearmanr([-r["tau"][0] for r in ok], [r["sup_estimate"] for r in ok])
+    return float(rho)
+
+
+def rows_to_csv(rows: list[dict]) -> str:
+    """CSV of the successful rows among `SweepResult.row_dicts` rows."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["phase", "tau_re", "tau_im", "n_points", "sup_estimate", "argmax"])
+    for r in rows:
+        if r["error"] is not None:
+            continue
+        w.writerow(
+            [
+                f"{r['phase']:.12g}",
+                f"{r['tau'][0]:.12g}",
+                f"{r['tau'][1]:.12g}",
+                r["n_points"],
+                f"{r['sup_estimate']:.12g}",
+                " ".join(r["argmax"]),
+            ]
+        )
+    return buf.getvalue()
 
 
 def sweep(

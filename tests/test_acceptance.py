@@ -164,10 +164,7 @@ def test_criterion_04_bent_foliation_certificate():
             continue
         p = BoundaryPoint(r * complex(math.cos(phi), math.sin(phi)),
                           float(rng.normal(scale=1.0)))
-        try:
-            leaves.append(bent_leaf(p, 3 * math.pi / 4))
-        except Exception:
-            continue
+        leaves.append(bent_leaf(p, 3 * math.pi / 4))
     for i in range(len(leaves)):
         for j in range(i + 1, len(leaves)):
             res = arcs_intersect(leaves[i], leaves[j])

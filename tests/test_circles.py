@@ -325,6 +325,19 @@ class TestBentLeaf:
         with pytest.raises(GeometryError):
             bent_leaf(BoundaryPoint(1j, 0), math.pi / 4)
 
+    def test_overflowing_start_is_skipped(self):
+        # a multistart step here overflows math.exp; a later start converges
+        theta = 3.5178741487736946
+        p = BoundaryPoint(
+            -0.3103425436533394 - 0.16775717574157115j, -0.10105062627503876
+        )
+        with np.errstate(over="ignore"):
+            leaf = bent_leaf(p, theta)
+        assert leaf.contains(p, tol=1e-6)
+        for e in (leaf.start, leaf.end):
+            ang = np.angle(e.z) % (2 * math.pi)
+            assert min(abs(ang), abs(ang - theta)) < 1e-7
+
 
 class TestSpiral:
     def test_horizontality_relation(self):

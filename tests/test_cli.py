@@ -94,6 +94,45 @@ class TestSweepCommand:
         )
         assert code == 0
         assert "resume: 3 phases already complete" in capsys.readouterr().out
+        assert len(json.loads((out / "sweep.json").read_text())["rows"]) == 3
+        assert len((out / "sweep.csv").read_text().splitlines()) == 4
+
+    def test_resume_computes_missing_rows(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {"phase_lo": math.pi, "phase_hi": 4.0, "n_phases": 3, "word_length": 6}
+            )
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        full = json.loads((out / "sweep.json").read_text())
+        full_csv = (out / "sweep.csv").read_text()
+        # an interrupted run: the phase with index 1 never finished
+        partial = dict(full, rows=[row for row in full["rows"] if row["index"] != 1])
+        (out / "sweep.json").write_text(json.dumps(partial))
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
+        assert "resume: 2 phases already complete" in capsys.readouterr().out
+        resumed = json.loads((out / "sweep.json").read_text())
+        assert resumed["rows"] == full["rows"]
+        assert (out / "sweep.csv").read_text() == full_csv
+
+    def test_resume_refuses_other_config(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_phases": 2, "word_length": 4}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        before = (out / "sweep.json").read_text()
+        cfg.write_text(json.dumps({"n_phases": 3, "word_length": 4}))
+        code = main(["sweep", "--config", str(cfg), "--out", str(out), "--resume"])
+        assert code == 2
+        assert "refusing to resume" in capsys.readouterr().err
+        assert (out / "sweep.json").read_text() == before
+
+    def test_jobs_flag_removed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--jobs", "2", "--out", str(tmp_path)])
 
 
 class TestCrownCommand:

@@ -1,15 +1,18 @@
 """Triangle-group representations, word enumeration, limit sets, fixtures."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from crchains.boundary import BoundaryPoint, INFINITY, normalizer_to_standard
+from crchains.crowns import axis_at_infinity, build_crown
 from crchains.groups import (
     LimitSetSample,
     TriangleParams,
+    _angular_order,
     complex_reflection,
     diagonal_loxodromic,
     enumerate_words,
@@ -22,6 +25,7 @@ from crchains.groups import (
 from crchains.hermitian import (
     ElementClass,
     GeometryError,
+    GroupElement,
     HVector,
     Model,
     classify,
@@ -134,6 +138,18 @@ class TestEnumerateWords:
         labels = [w for w, _ in words]
         assert "11" not in labels and "22" not in labels
 
+    def test_central_lifts_merged(self):
+        # scaling a generator by a cube root of unity changes no projective
+        # element; the relation i1 i2 i1 = i2 i1 i2 then holds only up to
+        # a central factor and must still merge the two words
+        rep = triangle_group(TriangleParams(3, 3, 4))
+        g1, g2, g3 = rep.generators
+        omega = cmath.exp(2j * math.pi / 3)
+        scaled = dataclasses.replace(
+            rep, generators=(GroupElement(omega * g1.matrix), g2, g3)
+        )
+        assert len(enumerate_words(scaled, 6)) == len(enumerate_words(rep, 6))
+
     def test_against_brute_force_count(self):
         # independent enumeration: all letter strings, dedup by the
         # projective matrix with a fine grid
@@ -166,6 +182,87 @@ class TestEnumerateWords:
             g.form_residual() for _, g in enumerate_words(rep, 8)
         )
         assert worst < 1e-8
+
+
+def _pairwise_words(rep, length, tol=1e-6):
+    """Reference enumeration: each candidate against every kept matrix."""
+    omegas = [cmath.exp(2j * math.pi * k / 3) for k in range(3)]
+    kept = [np.eye(3, dtype=complex)]
+    out = [("", np.eye(3, dtype=complex))]
+    frontier = list(out)
+    for _ in range(length):
+        new_frontier = []
+        for word, mat in frontier:
+            for k in "123":
+                if word.endswith(k):
+                    continue
+                m = mat @ rep.generators[int(k) - 1].matrix
+                if any(
+                    np.linalg.norm(m - km * w) < tol for km in kept for w in omegas
+                ):
+                    continue
+                kept.append(m)
+                out.append((word + k, m))
+                new_frontier.append((word + k, m))
+        frontier = new_frontier
+    return out
+
+
+def _pairwise_limit_points(words, eps=1e-3):
+    pts, coords = [], []
+    for _, g in words:
+        try:
+            cls = g.classification
+        except GeometryError:
+            continue
+        if cls.kind is not ElementClass.LOXODROMIC:
+            continue
+        for fp in cls.fixed_points:
+            try:
+                p = BoundaryPoint.from_lift(fp.representative, tol=1e-4)
+            except GeometryError:
+                continue
+            c = np.concatenate([[w.real, w.imag] for w in p.ball_coords()])
+            if any(np.linalg.norm(c - c0) < eps for c0 in coords):
+                continue
+            coords.append(c)
+            pts.append(p)
+    return _angular_order(pts)
+
+
+def _pairwise_crown_arcs(rep, gamma_word, words, eps=1e-6):
+    def key(arc):
+        return np.concatenate(
+            [[c.real, c.imag] for p in (arc.start, arc.end) for c in p.ball_coords()]
+        )
+
+    gamma = rep.word(gamma_word)
+    arcs, keys = [], []
+    for word, g in [("", None)] + words[1:]:
+        arc = axis_at_infinity(gamma if g is None else g @ gamma @ g.inverse())
+        k1, k2 = key(arc), key(arc.opposite())
+        if any(min(np.linalg.norm(k - k1), np.linalg.norm(k - k2)) < eps for k in keys):
+            continue
+        keys.append(k1)
+        arcs.append((word, arc))
+    return arcs
+
+
+@pytest.mark.parametrize("phase", [math.pi, 3.9, 4.2742])
+def test_dedup_matches_pairwise_reference(phase):
+    """Vectorised dedup keeps exactly what the pairwise loops kept."""
+    rep = triangle_group(TriangleParams(3, 3, 4, phase))
+    words = enumerate_words(rep, 7)
+    ref = _pairwise_words(rep, 7)
+    assert [w for w, _ in words] == [w for w, _ in ref]
+    for (_, g), (_, m) in zip(words, ref):
+        assert g.matrix.tobytes() == GroupElement(m).matrix.tobytes()
+
+    assert limit_set(rep, 7).points == _pairwise_limit_points(words)
+
+    crown = build_crown(rep, "3212", 4, limit_length=4)
+    ref_arcs = _pairwise_crown_arcs(rep, "3212", enumerate_words(rep, 4))
+    assert list(crown.arcs) == ref_arcs
 
 
 class TestLimitSet:
