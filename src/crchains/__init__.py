@@ -44,7 +44,6 @@ from .circles import (
     CurveSample,
     ccircle_through,
     ccircles_intersect,
-    arc_point,
     arcs_intersect,
     tangent_polar,
     foliation_leaf_rcircle,

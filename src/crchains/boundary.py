@@ -89,6 +89,18 @@ class BoundaryPoint:
             return "inf"
         return f"[{self.z:.6g}, {self.t:.6g}]"
 
+    def to_json(self):
+        """JSON form: "inf" or {"z": [re, im], "t": t}."""
+        if self.at_infinity:
+            return "inf"
+        return {"z": [self.z.real, self.z.imag], "t": self.t}
+
+    @staticmethod
+    def from_json(item) -> "BoundaryPoint":
+        if item == "inf":
+            return INFINITY
+        return BoundaryPoint(complex(item["z"][0], item["z"][1]), item["t"])
+
 
 INFINITY = BoundaryPoint.infinity()
 
@@ -126,6 +138,22 @@ def cartan_lifts(lifts: np.ndarray) -> np.ndarray:
     """
     j = Model.SIEGEL.matrix
     return lifts @ j @ np.conj(lifts.T)  # H[i, j] = v_j^dagger J v_i
+
+
+def best_triple(n: int, block, sign: int = 1) -> tuple[float, tuple[int, int, int]]:
+    """Extremum of a function of index triples i < j < k, with its witness.
+
+    block(j) returns the (j, n - j - 1) array of the values at (i, j, k)
+    for i < j < k; sign 1 takes the maximum, -1 the minimum.  Ties go to
+    the lexicographically first triple.
+    """
+    best, witness = -math.inf, (0, 1, 2)
+    for j in range(1, n - 1):
+        vals = sign * block(j)
+        i, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        if vals[i, k] > best or (vals[i, k] == best and i < witness[0]):
+            best, witness = float(vals[i, k]), (int(i), j, j + 1 + int(k))
+    return sign * best, witness
 
 
 def hyp_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:

@@ -9,6 +9,7 @@ is chart-independent.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import root
 
-from .boundary import INFINITY, BoundaryPoint, normalizer_to_standard
+from .boundary import INFINITY, BoundaryPoint, best_triple, normalizer_to_standard
 from .hermitian import (
     GeometryError,
     GroupElement,
@@ -26,6 +27,7 @@ from .hermitian import (
     PointType,
     ProjectivePoint,
     TOL_NULL,
+    _CAYLEY,
     box,
     herm_inner,
     point_type,
@@ -173,13 +175,6 @@ class Arc:
         t, res = self.param_of(p)
         return res < tol and t > 0
 
-    def midpoint_estimate(self) -> BoundaryPoint:
-        return self.point(1.0)
-
-
-def arc_point(arc: Arc, t: float) -> BoundaryPoint:
-    return arc.point(t)
-
 
 class ArcRelation(Enum):
     DISJOINT = "disjoint"
@@ -293,30 +288,18 @@ class CurveSample:
         return np.array([p.lift.entries for p in self.points])
 
     def to_json(self) -> str:
-        def enc(p: BoundaryPoint):
-            if p.at_infinity:
-                return "inf"
-            return {"z": [p.z.real, p.z.imag], "t": p.t}
-
         return json.dumps(
             {
                 "source": self.source,
                 "closed": self.closed,
-                "points": [enc(p) for p in self.points],
+                "points": [p.to_json() for p in self.points],
             }
         )
 
     @staticmethod
     def from_json(text: str) -> "CurveSample":
         data = json.loads(text)
-        pts = []
-        for item in data["points"]:
-            if item == "inf":
-                pts.append(INFINITY)
-            else:
-                pts.append(
-                    BoundaryPoint(complex(item["z"][0], item["z"][1]), item["t"])
-                )
+        pts = [BoundaryPoint.from_json(item) for item in data["points"]]
         return CurveSample(pts, data["closed"], data["source"])
 
 
@@ -477,38 +460,39 @@ def bent_leaf(p: BoundaryPoint, theta: float, tol: float = 1e-8) -> Arc:
         (base, base + 3.0),
         (base - 1.0, base + 3.0),
     ]
-    best = None
-    for branches in ((0, 1), (0, 0), (1, 1)):
+    branch_pairs = ((0, 1), (0, 0), (1, 1))
+    # the wide starts first; close-in starts catch the few points where
+    # every wide start converges to a spurious or no root
+    attempts = [(br, s0) for br in branch_pairs for s0 in starts] + [
+        (br, (base + a, base + b))
+        for br in branch_pairs
+        for a, b in itertools.permutations((-1, 0, 1), 2)
+    ]
+    for branches, s0 in attempts:
         fn = residual_fn(branches)
-        for s0 in starts:
-            # hybr may step to log-parameters whose exp overflows; that
-            # start has failed, the next one may still converge
-            try:
-                sol = root(fn, s0, method="hybr", tol=1e-12)
-                res = float(np.linalg.norm(fn(sol.x)))
-                if res > tol:
-                    continue
-                a = _branch_point(math.exp(sol.x[0]), branches[0], theta)
-                b = _branch_point(math.exp(sol.x[1]), branches[1], theta)
-            except OverflowError:
+        # hybr may step to log-parameters whose exp overflows; that start
+        # has failed, the next one may still converge
+        try:
+            sol = root(fn, s0, method="hybr", tol=1e-12)
+            res = float(np.linalg.norm(fn(sol.x)))
+            if res > tol:
                 continue
-            if a.close_to(b, 1e-10):
-                continue
-            arc = Arc(a, b)
-            t_par, fit_res = arc.param_of(p)
-            if fit_res > 1e-7:
-                continue
-            leaf = arc if t_par > 0 else arc.opposite()
-            if leaf.contains(p, tol=1e-6):
-                best = leaf
-                break
-        if best is not None:
-            break
-    if best is None:
-        raise GeometryError(
-            f"bent-leaf solver did not converge for {p} at theta={theta:.4f}"
-        )
-    return best
+            a = _branch_point(math.exp(sol.x[0]), branches[0], theta)
+            b = _branch_point(math.exp(sol.x[1]), branches[1], theta)
+        except OverflowError:
+            continue
+        if a.close_to(b, 1e-10):
+            continue
+        arc = Arc(a, b)
+        t_par, fit_res = arc.param_of(p)
+        if fit_res > 1e-7:
+            continue
+        leaf = arc if t_par > 0 else arc.opposite()
+        if leaf.contains(p, tol=1e-6):
+            return leaf
+    raise GeometryError(
+        f"bent-leaf solver did not converge for {p} at theta={theta:.4f}"
+    )
 
 
 def spiral_point(a: float, s: float) -> BoundaryPoint:
@@ -541,21 +525,16 @@ def min_collinearity(lifts: np.ndarray) -> tuple[float, tuple[int, int, int]]:
 
     A zero value witnesses three points on a common complex line.
     """
-    n = lifts.shape[0]
-    norms = np.linalg.norm(lifts, axis=1)
-    unit = lifts / norms[:, None]
-    best = math.inf
-    witness = (0, 1, 2)
-    for j in range(n):
-        for k in range(j + 1, n):
-            cr = np.cross(unit[j], unit[k])
-            dets = np.abs(unit[:j] @ cr) if j else np.empty(0)
-            if dets.size:
-                i = int(np.argmin(dets))
-                if dets[i] < best:
-                    best = float(dets[i])
-                    witness = (i, j, k)
-    return best, witness
+    unit = lifts / np.linalg.norm(lifts, axis=1)[:, None]
+
+    def block(j):
+        # |u_i . (u_j x u_k)|, summed term by term in a fixed order: a BLAS
+        # product would round each value differently for each block shape
+        cr = np.cross(unit[j], unit[j + 1 :]).T
+        u = unit[:j, :, None]
+        return np.abs(u[:, 0] * cr[0] + u[:, 1] * cr[1] + u[:, 2] * cr[2])
+
+    return best_triple(len(unit), block, sign=-1)
 
 
 def mobius_sample(
@@ -568,29 +547,22 @@ def mobius_sample(
     Raises on a hyperconvexity violation, naming a witness triple.
     """
     lifts = sample.lifts()
-    n = lifts.shape[0]
     coll, witness = min_collinearity(lifts)
     if coll < hyperconvex_tol:
         raise GeometryError(
             f"sample is not hyperconvex: triple {witness} is collinear "
             f"(normalized det {coll:.2e})"
         )
-    from .hermitian import Model, cayley
-
-    jinv = Model.SIEGEL.inverse
-    images = []
-    coords = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = np.conj(jinv @ np.cross(lifts[i], lifts[j]))
-            images.append(point_type(HVector(w)))
-            # ball-model affine coordinates for the chordal margin
-            b = cayley(HVector(w), Model.BALL).entries
-            # clamp the chart denominator: images on the hyperplane at
-            # infinity get huge coordinates and never realize the minimum
-            denom = b[2] if abs(b[2]) > 1e-200 else 1e-200
-            coords.append(b[:2] / denom)
-    rep = np.array(coords)
+    i, j = np.triu_indices(lifts.shape[0], k=1)
+    # box products of all pairs: conj(J^-1 (a x b)), one row per pair
+    polars = np.conj(np.cross(lifts[i], lifts[j]) @ Model.SIEGEL.inverse.T)
+    images = [point_type(HVector(w)) for w in polars]
+    # ball-model affine coordinates for the chordal margin; clamp the chart
+    # denominator: images on the hyperplane at infinity get huge
+    # coordinates and never realize the minimum
+    ball = polars @ _CAYLEY.T
+    denom = np.where(np.abs(ball[:, 2]) > 1e-200, ball[:, 2], 1e-200)
+    rep = ball[:, :2] / denom[:, None]
     m = rep.shape[0]
     margin = math.inf
     block = 512

@@ -23,7 +23,6 @@ from .crowns import build_crown, embeddedness, export_uniformization
 from .groups import TriangleParams, triangle_group, triangle_group_at_tau
 from .hermitian import (
     GeometryError,
-    TOL_FORM,
     TOL_LOX,
     TOL_NULL,
     TOL_TRACE,
@@ -36,14 +35,12 @@ EXIT_PRECONDITION = 3
 EXIT_CERTIFICATION = 4
 
 
-def _metadata(config: dict, seed: int | None) -> dict:
+def _metadata(config: dict) -> dict:
     blob = json.dumps(config, sort_keys=True).encode()
     return {
         "version": __version__,
-        "seed": seed,
         "tolerances": {
             "null": TOL_NULL,
-            "form": TOL_FORM,
             "loxodromic": TOL_LOX,
             "trace": TOL_TRACE,
         },
@@ -120,7 +117,7 @@ def cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
     json_path = out_dir / "sweep.json"
-    metadata = _metadata(cfg, args.seed)
+    metadata = _metadata(cfg)
     phases = [float(phi) for phi in np.linspace(phase_lo, phase_hi, n_phases)]
     # Finished rows are keyed by their index in `phases`; a file from
     # another config (or without indices) is never resumed over.
@@ -190,7 +187,7 @@ def cmd_crown(args) -> int:
                 "min_margin": report.min_margin,
                 "witness": list(report.witness) if report.witness else None,
                 "arcs_tested": report.arcs_tested,
-                "metadata": _metadata(cfg, args.seed),
+                "metadata": _metadata(cfg),
             },
             indent=1,
         )
@@ -202,9 +199,7 @@ def cmd_crown(args) -> int:
             file=sys.stderr,
         )
         return EXIT_CERTIFICATION
-    bundle = export_uniformization(
-        crown, report, metadata=_metadata(cfg, args.seed)
-    )
+    bundle = export_uniformization(crown, report, metadata=_metadata(cfg))
     bundle_path = out_dir / "crown.json"
     bundle_path.write_text(bundle)
     print(
@@ -240,18 +235,14 @@ def cmd_foliation(args) -> int:
         payload = {
             "endpoints": [str(leaf.start), str(leaf.end)],
             "residual": residual,
-            "polyline": [
-                "inf" if q.at_infinity else {"z": [q.z.real, q.z.imag], "t": q.t}
-                for q in pts
-            ],
+            "polyline": [q.to_json() for q in pts],
             "metadata": _metadata(
                 {
                     "mode": args.mode,
                     "coords": list(args.coords),
                     "theta": args.theta,
                     "n_samples": args.n_samples,
-                },
-                args.seed,
+                }
             ),
         }
         path = out_dir / "leaf.json"
@@ -271,7 +262,6 @@ def make_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", default=None, help="JSON config file")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--seed", type=int, default=0, help="random seed")
 
     sp = sub.add_parser("cartan", help="angular invariant of three points")
     sp.add_argument(
@@ -299,7 +289,6 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("coords", nargs="+", help="point as 'z_re z_im t'")
     sp.add_argument("--theta", type=float, default=3 * math.pi / 4)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--n-samples", type=int, default=64)
     sp.set_defaults(func=cmd_foliation)
 

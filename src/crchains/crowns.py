@@ -67,9 +67,9 @@ class Crown:
 
 
 def _fixed_pair_key(arc: Arc) -> np.ndarray:
-    a = np.concatenate([[c.real, c.imag] for c in arc.start.ball_coords()])
-    b = np.concatenate([[c.real, c.imag] for c in arc.end.ball_coords()])
-    return np.concatenate([a, b])
+    return np.concatenate(
+        [arc.start.ball_coords().view(float), arc.end.ball_coords().view(float)]
+    )
 
 
 def build_crown(
@@ -117,23 +117,9 @@ class EmbeddednessReport:
     arcs_tested: int
 
 
-def embeddedness(crown: Crown, k_radius: float | None = None) -> EmbeddednessReport:
-    """All-pairs crossing test over the crown arcs.
-
-    With a finite k_radius only arcs meeting the chordal ball of that
-    radius around the origin are tested; the default tests every pair.
-    """
-    arcs = list(crown.arcs)
-    if k_radius is not None:
-        origin = BoundaryPoint(0.0, 0.0)
-
-        def meets_ball(arc: Arc) -> bool:
-            return any(
-                p.chordal(origin) <= k_radius
-                for p in (arc.start, arc.end, arc.midpoint_estimate())
-            )
-
-        arcs = [item for item in arcs if meets_ball(item[1])]
+def embeddedness(crown: Crown) -> EmbeddednessReport:
+    """All-pairs crossing test over the crown arcs."""
+    arcs = crown.arcs
     min_margin = math.inf
     n = len(arcs)
     for i in range(n):
@@ -227,12 +213,6 @@ def crossing_detector(
     return out
 
 
-def _encode_point(p: BoundaryPoint):
-    if p.at_infinity:
-        return "inf"
-    return {"z": [p.z.real, p.z.imag], "t": p.t}
-
-
 def _encode_matrix(m: np.ndarray):
     return [[[c.real, c.imag] for c in row] for row in m]
 
@@ -257,14 +237,11 @@ def export_uniformization(
         )
     arcs_payload = []
     for label, arc in crown.arcs:
-        poly = [
-            _encode_point(p)
-            for p in arc.sample(arc_samples, t_range=(1e-2, 1e2))
-        ]
+        poly = [p.to_json() for p in arc.sample(arc_samples, t_range=(1e-2, 1e2))]
         arcs_payload.append(
             {
                 "coset": label,
-                "endpoints": [_encode_point(arc.start), _encode_point(arc.end)],
+                "endpoints": [arc.start.to_json(), arc.end.to_json()],
                 "polyline": poly,
             }
         )
@@ -273,7 +250,7 @@ def export_uniformization(
             _encode_matrix(gen.matrix) for gen in crown.rep.generators
         ],
         "gamma_word": list(crown.core_word),
-        "limit_set": [_encode_point(p) for p in crown.limit_sample.points],
+        "limit_set": [p.to_json() for p in crown.limit_sample.points],
         "arcs": arcs_payload,
         "report": {
             "status": report.status,

@@ -297,12 +297,7 @@ def _angular_order(points: list[BoundaryPoint]) -> list[BoundaryPoint]:
     """Sort by angle in the dominant principal plane of the ball coordinates."""
     if len(points) < 3:
         return points
-    coords = np.array(
-        [
-            np.concatenate([[c.real, c.imag] for c in p.ball_coords()])
-            for p in points
-        ]
-    )
+    coords = np.array([p.ball_coords().view(float) for p in points])
     centered = coords - coords.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     proj = centered @ vt[:2].T
@@ -330,7 +325,7 @@ def limit_set(
                 p = BoundaryPoint.from_lift(fp.representative, tol=1e-4)
             except GeometryError:
                 continue
-            if kept.add(np.concatenate([[w.real, w.imag] for w in p.ball_coords()])):
+            if kept.add(p.ball_coords().view(float)):
                 pts.append(p)
     if not pts:
         raise GeometryError("no loxodromic word found up to the given length")

@@ -18,10 +18,8 @@ from functools import cached_property
 import numpy as np
 
 TOL_NULL = 1e-9
-TOL_FORM = 1e-9
 TOL_LOX = 1e-7
 TOL_TRACE = 1e-8
-TOL_DET = 1e-9
 
 
 class GeometryError(Exception):
@@ -250,11 +248,6 @@ class GroupElement:
         return float(
             np.linalg.norm(self.matrix.conj().T @ j @ self.matrix - j)
         )
-
-    def check_form(self, tol: float = 1e-6) -> None:
-        res = self.form_residual()
-        if res > tol:
-            raise GeometryError(f"matrix does not preserve the form: {res:.2e}")
 
     @property
     def det(self) -> complex:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import spearmanr
 
-from .boundary import BoundaryPoint, cartan, cartan_lifts
+from .boundary import INFINITY, BoundaryPoint, best_triple, cartan, cartan_lifts
 from .circles import CurveSample, min_collinearity
 from .groups import (
     LimitSetSample,
@@ -52,32 +52,10 @@ class HyperconvexityReport:
     witness: tuple[BoundaryPoint, BoundaryPoint, BoundaryPoint]
 
 
-def _points_of(sample) -> list[BoundaryPoint]:
-    return list(sample.points)
-
-
-def _abs_cartan_scan(lifts: np.ndarray) -> tuple[float, tuple[int, int, int]]:
-    """Max |A| over all distinct index triples, by Gram-matrix broadcast."""
-    h = cartan_lifts(lifts)
-    n = lifts.shape[0]
-    best = -1.0
-    witness = (0, 1, 2)
-    for i in range(n - 2):
-        # products over j < k, both > i
-        hij = h[i, i + 1 :]  # <v_i, v_j>
-        hki = h[i + 1 :, i]  # <v_k, v_i>
-        hjk = h[i + 1 :, i + 1 :]  # <v_j, v_k>
-        prod = -hij[:, None] * hjk * hki[None, :]
-        ang = np.abs(np.angle(prod))
-        iu = np.triu_indices(n - i - 1, k=1)
-        vals = ang[iu]
-        if vals.size == 0:
-            continue
-        m = int(np.argmax(vals))
-        if vals[m] > best:
-            best = float(vals[m])
-            witness = (i, i + 1 + int(iu[0][m]), i + 1 + int(iu[1][m]))
-    return best, witness
+def _abs_cartan_block(h: np.ndarray, j: int) -> np.ndarray:
+    """|A(v_i, v_j, v_k)| for i < j < k, from the Gram matrix h."""
+    prod = -h[:j, j, None] * h[None, j, j + 1 :] * h[j + 1 :, :j].T
+    return np.abs(np.angle(prod))
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
@@ -144,15 +122,15 @@ def sup_cartan(sample, refine: bool = False) -> SlimnessReport:
     cubic scan.  Refinement moves each witness point along its adjacent
     curve segments and never decreases the estimate.
     """
-    pts = _points_of(sample)
+    pts = list(sample.points)
     if len(pts) < 3:
         raise GeometryError("need at least 3 points for a triple scan")
     if len(pts) > MAX_SCAN_POINTS:
         sel = np.linspace(0, len(pts) - 1, MAX_SCAN_POINTS).astype(int)
         pts = [pts[i] for i in sel]
-    lifts = np.array([p.lift.entries for p in pts])
-    best, witness = _abs_cartan_scan(lifts)
     n = len(pts)
+    h = cartan_lifts(np.array([p.lift.entries for p in pts]))
+    best, witness = best_triple(n, lambda j: _abs_cartan_block(h, j))
     n_triples = n * (n - 1) * (n - 2) // 6
     triple = (pts[witness[0]], pts[witness[1]], pts[witness[2]])
     if refine:
@@ -162,9 +140,9 @@ def sup_cartan(sample, refine: bool = False) -> SlimnessReport:
     return SlimnessReport(best, triple, n, n_triples, refine)
 
 
-def hyperconvexity(sample, tol: float = 0.0) -> HyperconvexityReport:
+def hyperconvexity(sample) -> HyperconvexityReport:
     """Minimal normalized triple determinant of the sample lifts."""
-    pts = _points_of(sample)
+    pts = list(sample.points)
     if len(pts) < 3:
         raise GeometryError("need at least 3 points")
     lifts = np.array([p.lift.entries for p in pts])
@@ -256,7 +234,6 @@ def sweep(
     phases: list[float],
     word_length: int = 10,
     dedup_eps: float = 1e-3,
-    refine: bool = False,
 ) -> SweepResult:
     """Limit-set slimness across a list of Gram phases, sorted by trace.
 
@@ -267,7 +244,7 @@ def sweep(
         try:
             rep = triangle_group(TriangleParams(p, q, r, phi))
             ls = limit_set(rep, word_length, dedup_eps)
-            rep_report = sup_cartan(ls, refine=refine)
+            rep_report = sup_cartan(ls)
             rows.append(
                 SweepRow(
                     phi,
@@ -310,9 +287,6 @@ def parabolic_obstruction_demo(
     for _ in range(n_iter):
         cur = cur.apply(g)
         pts.append(cur)
-    # the fixed point of all three model parabolics
-    from .boundary import INFINITY
-
-    pts.append(INFINITY)
+    pts.append(INFINITY)  # the fixed point of all three model parabolics
     sample = CurveSample(pts, closed=False, source=f"parabolic:{kind}")
     return sup_cartan(sample, refine=refine)

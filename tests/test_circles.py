@@ -15,7 +15,6 @@ from crchains.circles import (
     CircleRelation,
     CurveSample,
     RCircle,
-    arc_point,
     arcs_intersect,
     bent_certificate,
     bent_curve,
@@ -135,11 +134,6 @@ class TestArc:
         for t in (0.3, 1.7):
             p = arc.point(t).apply(g)
             assert moved.contains(p, tol=1e-7)
-
-    def test_arc_point_wrapper(self):
-        arc = Arc(BoundaryPoint(0, 0), INFINITY)
-        p = arc_point(arc, 1.0)
-        assert arc.support.contains(p)
 
     def test_rejects_bad_parameter(self):
         arc = Arc(rand_point(), rand_point())
@@ -335,6 +329,19 @@ class TestBentLeaf:
             leaf = bent_leaf(p, theta)
         assert leaf.contains(p, tol=1e-6)
         for e in (leaf.start, leaf.end):
+            ang = np.angle(e.z) % (2 * math.pi)
+            assert min(abs(ang), abs(ang - theta)) < 1e-7
+
+    def test_close_in_starts_catch_wide_start_failures(self):
+        # every one of the 24 wide starts fails here; a close-in start
+        # around log|z| converges
+        theta = 4.067437255369329
+        p = BoundaryPoint(-1.158026869779057 - 2.646970398094633j, -2.4223783631695097)
+        with np.errstate(over="ignore"):
+            leaf = bent_leaf(p, theta)
+        assert leaf.contains(p, tol=1e-6)
+        for e in (leaf.start, leaf.end):
+            assert abs(e.t) < 1e-12
             ang = np.angle(e.z) % (2 * math.pi)
             assert min(abs(ang), abs(ang - theta)) < 1e-7
 

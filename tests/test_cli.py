@@ -57,8 +57,8 @@ class TestSweepCommand:
         assert len(data["rows"]) == 4
         meta = data["metadata"]
         assert meta["version"] == __version__
-        assert meta["seed"] == 0
-        assert set(meta["tolerances"]) == {"null", "form", "loxodromic", "trace"}
+        assert "seed" not in meta
+        assert set(meta["tolerances"]) == {"null", "loxodromic", "trace"}
         assert len(meta["config_hash"]) == 64
 
     def test_empty_phase_range(self, tmp_path, capsys):

@@ -5,10 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from crchains.boundary import BoundaryPoint, INFINITY
-from crchains.circles import Arc, CurveSample, RCircle, bent_curve, spiral_curve
+from crchains.boundary import BoundaryPoint, INFINITY, cartan_lifts
+from crchains.circles import (
+    Arc,
+    CurveSample,
+    RCircle,
+    bent_curve,
+    mobius_sample,
+    spiral_curve,
+)
 from crchains.groups import TriangleParams, triangle_group, limit_set
-from crchains.hermitian import GeometryError
+from crchains.hermitian import (
+    GeometryError,
+    HVector,
+    Model,
+    cayley,
+    point_type,
+)
 from crchains.slimness import (
     HyperconvexityReport,
     SlimnessReport,
@@ -164,3 +177,105 @@ class TestSpiralAndLimitSets:
         rep = triangle_group(TriangleParams(3, 3, 4))
         report = sup_cartan(limit_set(rep, 8))
         assert report.sup_estimate < 1e-8
+
+
+# Reference scans: the per-row and per-pair loops that the single triple
+# scan replaced, kept verbatim.
+
+
+def _triu_cartan_scan(lifts):
+    h = cartan_lifts(lifts)
+    n = lifts.shape[0]
+    best = -1.0
+    witness = (0, 1, 2)
+    for i in range(n - 2):
+        hij = h[i, i + 1 :]
+        hki = h[i + 1 :, i]
+        hjk = h[i + 1 :, i + 1 :]
+        prod = -hij[:, None] * hjk * hki[None, :]
+        ang = np.abs(np.angle(prod))
+        iu = np.triu_indices(n - i - 1, k=1)
+        vals = ang[iu]
+        if vals.size == 0:
+            continue
+        m = int(np.argmax(vals))
+        if vals[m] > best:
+            best = float(vals[m])
+            witness = (i, i + 1 + int(iu[0][m]), i + 1 + int(iu[1][m]))
+    return best, witness
+
+
+def _pairwise_collinearity(lifts):
+    n = lifts.shape[0]
+    unit = lifts / np.linalg.norm(lifts, axis=1)[:, None]
+    best = math.inf
+    witness = (0, 1, 2)
+    for j in range(n):
+        for k in range(j + 1, n):
+            cr = np.cross(unit[j], unit[k])
+            dets = np.abs(unit[:j] @ cr) if j else np.empty(0)
+            if dets.size:
+                i = int(np.argmin(dets))
+                if dets[i] < best:
+                    best = float(dets[i])
+                    witness = (i, j, k)
+    return best, witness
+
+
+def _pairwise_mobius(lifts):
+    jinv = Model.SIEGEL.inverse
+    images, coords = [], []
+    n = lifts.shape[0]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = np.conj(jinv @ np.cross(lifts[i], lifts[j]))
+            images.append(point_type(HVector(w)))
+            b = cayley(HVector(w), Model.BALL).entries
+            denom = b[2] if abs(b[2]) > 1e-200 else 1e-200
+            coords.append(b[:2] / denom)
+    rep = np.array(coords)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.linalg.norm(rep[:, None, :] - rep[None, :, :], axis=2)
+    d = np.where(np.isnan(d), math.inf, d)
+    np.fill_diagonal(d, math.inf)
+    return images, float(np.min(d))
+
+
+SCAN_SAMPLES = {
+    "bent_pi/2": lambda: bent_curve(math.pi / 2, n=120),
+    "bent_3pi/4": lambda: bent_curve(3 * math.pi / 4, n=120),
+    "bent_pi": lambda: bent_curve(math.pi, n=120),
+    "bent_3pi/2": lambda: bent_curve(3 * math.pi / 2, n=120),
+    "spiral": lambda: spiral_curve(0.3, n=150),
+    "rcircle": lambda: RCircle.standard().sample(100),
+    "limit_set_334": lambda: limit_set(triangle_group(TriangleParams(3, 3, 4, 4.0)), 8),
+}
+
+
+@pytest.mark.parametrize("name", list(SCAN_SAMPLES))
+def test_triple_scan_matches_reference(name):
+    """One triple scan gives what the per-row and per-pair loops gave."""
+    sample = SCAN_SAMPLES[name]()
+    pts = list(sample.points)
+    lifts = np.array([p.lift.entries for p in pts])
+
+    best, (i, j, k) = _triu_cartan_scan(lifts)
+    report = sup_cartan(sample)
+    assert report.sup_estimate == best
+    assert report.argmax_triple == (pts[i], pts[j], pts[k])
+
+    margin, (i, j, k) = _pairwise_collinearity(lifts)
+    hc = hyperconvexity(sample)
+    assert hc.witness == (pts[i], pts[j], pts[k])
+    # the determinant sums products of unit-size entries, so its rounding
+    # is measured in ulps of 1, not of the (small) minimum
+    assert abs(hc.min_collinearity - margin) <= 4 * np.finfo(float).eps
+
+    small = CurveSample(pts[:: max(1, len(pts) // 30)], False, "subsample")
+    ref_images, ref_margin = _pairwise_mobius(small.lifts())
+    images, mob_margin = mobius_sample(small)
+    assert len(images) == len(ref_images)
+    for a, b in zip(images, ref_images):
+        assert np.array_equal(a.representative.entries, b.representative.entries)
+        assert a.point_type is b.point_type and a.type_margin == b.type_margin
+    assert mob_margin == pytest.approx(ref_margin, rel=1e-12)
