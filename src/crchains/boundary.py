@@ -19,7 +19,8 @@ from .hermitian import (
     Model,
     PointType,
     ProjectivePoint,
-    TOL_NULL,
+    _H_SIEGEL,
+    _null_margin,
     box,
     cayley,
     herm_inner,
@@ -56,14 +57,11 @@ class BoundaryPoint:
         is read off the imaginary part so a small residual only perturbs,
         never breaks, the inversion.
         """
-        w = cayley(v, Model.SIEGEL)
-        euc = float(np.vdot(w.entries, w.entries).real)
-        if abs(w.norm2) > tol * euc:
-            raise GeometryError(
-                f"lift is not null (relative residual {abs(w.norm2) / euc:.2e})"
-            )
-        e = w.entries
-        if abs(e[2]) <= 1e-9 * math.sqrt(euc):
+        e = cayley(v, Model.SIEGEL).entries
+        residual = abs(_null_margin(e, _H_SIEGEL))
+        if residual > tol:
+            raise GeometryError(f"lift is not null (relative residual {residual:.2e})")
+        if abs(e[2]) <= 1e-9 * math.sqrt(np.vdot(e, e).real):
             return BoundaryPoint.infinity()
         z = e[1] / e[2]
         t = (e[0] / e[2]).imag
@@ -129,6 +127,11 @@ def cartan(p: BoundaryPoint, q: BoundaryPoint, r: BoundaryPoint) -> CartanValue:
     if abs(prod) < 1e-12 * scale:
         return CartanValue(0.0, degenerate=True)
     return CartanValue(cmath.phase(prod))
+
+
+def lifts(points) -> np.ndarray:
+    """Standard Siegel lifts of boundary points, one row each: (N, 3)."""
+    return np.array([p.lift.entries for p in points]).reshape(-1, 3)
 
 
 def cartan_lifts(lifts: np.ndarray) -> np.ndarray:

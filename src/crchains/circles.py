@@ -12,13 +12,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import root
 
-from .boundary import INFINITY, BoundaryPoint, best_triple, normalizer_to_standard
+from .boundary import INFINITY, BoundaryPoint, best_triple, lifts, normalizer_to_standard
 from .hermitian import (
     GeometryError,
     GroupElement,
@@ -26,8 +27,16 @@ from .hermitian import (
     Model,
     PointType,
     ProjectivePoint,
+    TOL_ARC,
+    TOL_ENDPOINT,
+    TOL_LIFT,
     TOL_NULL,
     _CAYLEY,
+    _H_SIEGEL,
+    _H_SIEGEL_INV,
+    _box,
+    _cross3,
+    _null_margin,
     box,
     herm_inner,
     point_type,
@@ -37,8 +46,6 @@ from .hermitian import (
 # and the factored polynomial certificate for two bent half-lines; fixed by
 # evaluating both sides at generic rational points (see tests).
 BENT_CERT_RATIO = 0.125
-
-_SIEGEL_J = Model.SIEGEL.matrix
 
 
 @dataclass(frozen=True)
@@ -53,11 +60,8 @@ class CCircle:
 
     def residual(self, p: BoundaryPoint) -> float:
         """Normalized |<p, polar>|; zero iff p lies on the circle."""
-        m = self.polar.representative
-        v = p.lift
-        scale = float(
-            np.linalg.norm(m.entries) * np.linalg.norm(v.entries)
-        )
+        m, v = self.polar.representative, p.lift
+        scale = float(np.linalg.norm(m.entries) * np.linalg.norm(v.entries))
         return abs(herm_inner(v, m)) / scale
 
     def contains(self, p: BoundaryPoint, tol: float = 1e-8) -> bool:
@@ -102,14 +106,12 @@ def ccircles_intersect(
     """Intersection test via the box product of the polar points."""
     if c1.same_as(c2):
         return CircleIntersection(CircleRelation.EQUAL)
+    # not None: box rejects only polars that same_as has already matched
     n = box(c1.polar.representative, c2.polar.representative)
-    if n is None:  # projectively equal but below the same_as tolerance
-        return CircleIntersection(CircleRelation.EQUAL)
-    euc = float(np.vdot(n.entries, n.entries).real)
-    margin = n.norm2 / euc
+    margin = float(_null_margin(n.entries, n.model.matrix))
     if abs(margin) < tol_null:
         return CircleIntersection(
-            CircleRelation.MEET, margin, BoundaryPoint.from_lift(n, tol=1e-4)
+            CircleRelation.MEET, margin, BoundaryPoint.from_lift(n, tol=TOL_LIFT)
         )
     return CircleIntersection(CircleRelation.DISJOINT, margin)
 
@@ -125,7 +127,7 @@ class Arc:
         if self.start.close_to(self.end, eps=1e-12):
             raise GeometryError("arc endpoints must be distinct")
 
-    @property
+    @cached_property
     def support(self) -> CCircle:
         return ccircle_through(self.start, self.end)
 
@@ -134,16 +136,19 @@ class Arc:
 
     def point(self, t: float) -> BoundaryPoint:
         """Point of the arc at chart parameter t in (0, inf)."""
-        if not t > 0:
-            raise GeometryError("arc parameter must be positive")
-        a = self.start.lift
-        b = self.end.lift
-        mu = 1j * t / herm_inner(b, a)
-        return BoundaryPoint.from_lift(HVector(a.entries + mu * b.entries))
+        return self._points([t])[0]
 
     def sample(self, n: int, t_range: tuple[float, float] = (1e-3, 1e3)) -> list[BoundaryPoint]:
-        ts = np.geomspace(t_range[0], t_range[1], n)
-        return [self.point(float(t)) for t in ts]
+        return self._points([float(t) for t in np.geomspace(t_range[0], t_range[1], n)])
+
+    def _points(self, ts: list[float]) -> list[BoundaryPoint]:
+        """Chart points [a + (i t / <b, a>) b], with <b, a> computed once."""
+        if not all(t > 0 for t in ts):
+            raise GeometryError("arc parameter must be positive")
+        a, b = self.start.lift, self.end.lift
+        h = herm_inner(b, a)
+        chart = (a.entries + (1j * t / h) * b.entries for t in ts)
+        return [BoundaryPoint.from_lift(HVector(v)) for v in chart]
 
     def param_of(self, p: BoundaryPoint) -> tuple[float, float]:
         """Chart parameter of p (infinite at the far endpoint) + residual.
@@ -203,7 +208,7 @@ def arcs_intersect(
     a1: Arc,
     a2: Arc,
     tol_null: float = TOL_NULL,
-    endpoint_eps: float = 1e-7,
+    endpoint_eps: float = TOL_ENDPOINT,
 ) -> ArcIntersection:
     """Combinatorial intersection of two arcs of C-circles."""
     inter = ccircles_intersect(a1.support, a2.support, tol_null)
@@ -221,13 +226,12 @@ def arcs_intersect(
         return ArcIntersection(ArcRelation.DISJOINT, margin=abs(inter.margin))
     q = inter.point
     assert q is not None
-    near_end = any(q.close_to(e, endpoint_eps) for e in (a1.start, a1.end)) or any(
-        q.close_to(e, endpoint_eps) for e in (a2.start, a2.end)
-    )
+    ends = (a1.start, a1.end, a2.start, a2.end)
+    near_end = any(q.close_to(e, endpoint_eps) for e in ends)
     if near_end and _shares_endpoint(a1, a2, endpoint_eps):
         return ArcIntersection(ArcRelation.SHARE_ENDPOINT, point=q)
-    in1 = a1.contains(q, tol=1e-4)
-    in2 = a2.contains(q, tol=1e-4)
+    in1 = a1.contains(q, tol=TOL_ARC)
+    in2 = a2.contains(q, tol=TOL_ARC)
     if in1 and in2 and not near_end:
         return ArcIntersection(ArcRelation.CROSS, point=q)
     # The supports meet but the meeting point misses at least one open arc:
@@ -284,9 +288,6 @@ class CurveSample:
             if a.close_to(b, 1e-14):
                 raise GeometryError("consecutive sample points coincide")
 
-    def lifts(self) -> np.ndarray:
-        return np.array([p.lift.entries for p in self.points])
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -331,7 +332,7 @@ def foliation_leaf_rcircle(p: BoundaryPoint) -> Arc:
 
 def _real_null_points_on_polar(m_real: np.ndarray) -> tuple[BoundaryPoint, BoundaryPoint]:
     """The two real null points orthogonal to a real positive vector."""
-    u = _SIEGEL_J @ m_real
+    u = _H_SIEGEL @ m_real
     # <lift(x), m> = 0 with lift (-x^2, x, 1): -u0 x^2 + u1 x + u2 = 0.
     a_c, b_c, c_c = -u[0], u[1], u[2]
     scale = float(np.linalg.norm(u))
@@ -470,16 +471,17 @@ def bent_leaf(p: BoundaryPoint, theta: float, tol: float = 1e-8) -> Arc:
     ]
     for branches, s0 in attempts:
         fn = residual_fn(branches)
-        # hybr may step to log-parameters whose exp overflows; that start
-        # has failed, the next one may still converge
+        # hybr may step to log-parameters whose exp or lift norm overflows;
+        # that start has failed, the next one may still converge
         try:
-            sol = root(fn, s0, method="hybr", tol=1e-12)
-            res = float(np.linalg.norm(fn(sol.x)))
+            with np.errstate(over="raise"):
+                sol = root(fn, s0, method="hybr", tol=1e-12)
+                res = float(np.linalg.norm(fn(sol.x)))
             if res > tol:
                 continue
             a = _branch_point(math.exp(sol.x[0]), branches[0], theta)
             b = _branch_point(math.exp(sol.x[1]), branches[1], theta)
-        except OverflowError:
+        except (OverflowError, FloatingPointError):
             continue
         if a.close_to(b, 1e-10):
             continue
@@ -530,7 +532,7 @@ def min_collinearity(lifts: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     def block(j):
         # |u_i . (u_j x u_k)|, summed term by term in a fixed order: a BLAS
         # product would round each value differently for each block shape
-        cr = np.cross(unit[j], unit[j + 1 :]).T
+        cr = _cross3(unit[j], unit[j + 1 :]).T
         u = unit[:j, :, None]
         return np.abs(u[:, 0] * cr[0] + u[:, 1] * cr[1] + u[:, 2] * cr[2])
 
@@ -546,16 +548,15 @@ def mobius_sample(
     projective (Fubini-Study) distance between images of distinct pairs.
     Raises on a hyperconvexity violation, naming a witness triple.
     """
-    lifts = sample.lifts()
-    coll, witness = min_collinearity(lifts)
+    v = lifts(sample.points)
+    coll, witness = min_collinearity(v)
     if coll < hyperconvex_tol:
         raise GeometryError(
             f"sample is not hyperconvex: triple {witness} is collinear "
             f"(normalized det {coll:.2e})"
         )
-    i, j = np.triu_indices(lifts.shape[0], k=1)
-    # box products of all pairs: conj(J^-1 (a x b)), one row per pair
-    polars = np.conj(np.cross(lifts[i], lifts[j]) @ Model.SIEGEL.inverse.T)
+    i, j = np.triu_indices(v.shape[0], k=1)
+    polars = _box(v[i], v[j], _H_SIEGEL_INV)  # one row per pair
     images = [point_type(HVector(w)) for w in polars]
     # ball-model affine coordinates for the chordal margin; clamp the chart
     # denominator: images on the hyperplane at infinity get huge

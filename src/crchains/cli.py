@@ -16,17 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, hermitian
 from .boundary import BoundaryPoint, INFINITY, cartan
 from .circles import bent_leaf, foliation_leaf_rcircle
 from .crowns import build_crown, embeddedness, export_uniformization
 from .groups import TriangleParams, triangle_group, triangle_group_at_tau
-from .hermitian import (
-    GeometryError,
-    TOL_LOX,
-    TOL_NULL,
-    TOL_TRACE,
-)
+from .hermitian import GeometryError
 from .slimness import rows_to_csv, spearman_neg_tau_vs_sup, sweep
 
 EXIT_OK = 0
@@ -39,10 +34,11 @@ def _metadata(config: dict) -> dict:
     blob = json.dumps(config, sort_keys=True).encode()
     return {
         "version": __version__,
+        # the whole tolerance table: TOL_NULL is "null", TOL_LOX "lox", ...
         "tolerances": {
-            "null": TOL_NULL,
-            "loxodromic": TOL_LOX,
-            "trace": TOL_TRACE,
+            name[4:].lower(): value
+            for name, value in vars(hermitian).items()
+            if name.startswith("TOL_")
         },
         "config_hash": hashlib.sha256(blob).hexdigest(),
     }

@@ -16,10 +16,9 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from .boundary import BoundaryPoint
+from .boundary import BoundaryPoint, lifts
 from .circles import (
     Arc,
-    ArcIntersection,
     ArcRelation,
     CurveSample,
     arcs_intersect,
@@ -36,9 +35,11 @@ from .hermitian import (
     ElementClass,
     GeometryError,
     GroupElement,
-    HVector,
-    box,
-    herm_inner,
+    TOL_LIFT,
+    _H_SIEGEL,
+    _H_SIEGEL_INV,
+    _box,
+    _herm,
 )
 
 
@@ -50,8 +51,8 @@ def axis_at_infinity(g: GroupElement) -> Arc:
     assert cls.fixed_points is not None
     attracting, repelling = cls.fixed_points
     return Arc(
-        BoundaryPoint.from_lift(repelling.representative, tol=1e-4),
-        BoundaryPoint.from_lift(attracting.representative, tol=1e-4),
+        BoundaryPoint.from_lift(repelling.representative, tol=TOL_LIFT),
+        BoundaryPoint.from_lift(attracting.representative, tol=TOL_LIFT),
     )
 
 
@@ -139,11 +140,11 @@ def embeddedness(crown: Crown) -> EmbeddednessReport:
 
 
 def _curve_fn_from_sample(sample: CurveSample) -> Callable[[float], BoundaryPoint]:
-    """Parametrization by a signed exponential coordinate.
+    """The exact curve behind a sample, as a map of a signed coordinate s.
 
-    Spiral samples map s to the spiral point; straight-line samples
-    (R-circle frames) map s to [sign * e^(|s|) style coordinates] via
-    interpolation of the stored points.
+    Only the sample's source tag is read: spiral samples map s to the
+    spiral point, R-circle samples map s to [sign(s) e^|s|, 0].  The
+    stored points are not used.
     """
     src = sample.source
     if src.startswith("spiral:"):
@@ -163,36 +164,29 @@ def crossing_detector(
 ) -> list[tuple[Arc, Arc, BoundaryPoint]]:
     """C-circles through symmetric curve points that cross the axis arc.
 
-    For each s the chord circle joins curve(-s) and curve(s); the real
+    Only the sample's source tag is used: it names the exact curve.  For
+    each s the chord circle joins curve(-s) and curve(s); the real
     certificate f(s) is the Hermitian square of the box product of the
-    chord polar with the axis polar.  Sign changes of f bracket parameter
-    values where the chord circle meets the axis chain; each refined root
-    is kept when the resulting arcs genuinely cross.
+    chord polar with the axis polar.  Sign changes of f on the grid bracket
+    parameter values where the chord circle meets the axis chain; each
+    refined root is kept when the resulting arcs genuinely cross.
     """
-    cls = g.classification
-    if cls.kind is not ElementClass.LOXODROMIC:
-        raise GeometryError("crossing detector requires a loxodromic element")
-    axis = axis_at_infinity(g)
+    axis = axis_at_infinity(g)  # raises unless g is loxodromic
     curve = _curve_fn_from_sample(sample)
-    n_axis = box(axis.start.lift, axis.end.lift)
-    assert n_axis is not None
+    n_axis = axis.support.polar.representative.entries
 
-    def f(s: float) -> float:
-        a = curve(-s).lift
-        b = curve(s).lift
-        chord = box(a, b)
-        if chord is None:
-            return 0.0
-        w = box(chord, n_axis)
-        if w is None:
-            return 0.0
-        return w.norm2 / float(
-            np.linalg.norm(chord.entries) ** 2
-            * np.linalg.norm(n_axis.entries) ** 2
-        )
+    def f(s):
+        """Certificate at every s of an array, or at one s."""
+        ss = np.ravel(s).tolist()
+        # curve(-s) and curve(s) are distinct for s > 0: every chord exists
+        a = lifts([curve(-x) for x in ss])
+        chord = _box(a, lifts([curve(x) for x in ss]), _H_SIEGEL_INV)
+        w = _box(chord, n_axis, _H_SIEGEL_INV)
+        scale = np.linalg.norm(chord, axis=-1) ** 2 * np.linalg.norm(n_axis) ** 2
+        return (_herm(w, w, _H_SIEGEL).real / scale).reshape(np.shape(s))
 
     ss = np.linspace(s_range[0] + 1e-6, s_range[1], grid)
-    vals = np.array([f(float(s)) for s in ss])
+    vals = f(ss)
     out: list[tuple[Arc, Arc, BoundaryPoint]] = []
     for i in range(len(ss) - 1):
         if vals[i] == 0.0 or vals[i] * vals[i + 1] >= 0:

@@ -25,8 +25,8 @@ from .hermitian import (
     Model,
     PointType,
     ProjectivePoint,
+    TOL_LIFT,
     cayley,
-    herm_inner,
     point_type,
 )
 
@@ -289,9 +289,6 @@ class LimitSetSample:
     word_length: int
     dedup_eps: float
 
-    def lifts(self) -> np.ndarray:
-        return np.array([p.lift.entries for p in self.points])
-
 
 def _angular_order(points: list[BoundaryPoint]) -> list[BoundaryPoint]:
     """Sort by angle in the dominant principal plane of the ball coordinates."""
@@ -322,7 +319,7 @@ def limit_set(
         assert cls.fixed_points is not None
         for fp in cls.fixed_points:
             try:
-                p = BoundaryPoint.from_lift(fp.representative, tol=1e-4)
+                p = BoundaryPoint.from_lift(fp.representative, tol=TOL_LIFT)
             except GeometryError:
                 continue
             if kept.add(p.ball_coords().view(float)):

@@ -4,22 +4,29 @@ Two coordinate models are supported: the ball model with form
 diag(1, 1, -1) and the Siegel model with form antidiag(1, 2, 1).
 The inner product convention is ``<a, b> = b^dagger J a`` (linear in the
 first slot, antilinear in the second).  With the conjugate convention
-every angular invariant computed downstream flips sign.
+every angular invariant computed downstream flips sign.  The algebra is
+written once, as an array kernel on (..., 3) arrays with leading axes
+broadcast (`_herm`, `_box`, `_null_margin`); the scalar API wraps it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-TOL_NULL = 1e-9
-TOL_LOX = 1e-7
-TOL_TRACE = 1e-8
+# The tolerance table; the CLI writes every TOL_* name into its JSON metadata.
+TOL_NULL = 1e-9  # relative null margin of a lift, |<v, v>| / |v|^2
+TOL_LOX = 1e-7  # leading eigenvalue modulus above 1 for a loxodromic
+TOL_TRACE = 1e-8  # imaginary part of a normalized trace read as real
+TOL_EIGVEC = 1e-6  # null margin of a loxodromic fixed-point eigenvector
+TOL_LIFT = 1e-4  # null margin accepted when a computed lift is read as a point
+TOL_ARC = 1e-4  # support residual of a meeting point counted on an arc
+TOL_ENDPOINT = 1e-7  # chordal distance at which two arc endpoints coincide
 
 
 class GeometryError(Exception):
@@ -83,7 +90,7 @@ class HVector:
 
     def __post_init__(self):
         v = np.asarray(self.entries, dtype=complex).reshape(3)
-        if not v.any():
+        if not (v[0] or v[1] or v[2]):  # ndarray.any is slower on 3 entries
             raise GeometryError("zero vector is not a valid lift")
         object.__setattr__(self, "entries", v)
 
@@ -95,20 +102,12 @@ class HVector:
         """Hermitian square <v, v>; real up to roundoff."""
         return herm_inner(self, self).real
 
-    def box(self, other: "HVector") -> "HVector":
-        return box(self, other)
-
     def scaled(self, factor: complex) -> "HVector":
         return HVector(self.entries * factor, self.model)
 
     def conjugated(self) -> "HVector":
         """Coordinatewise conjugate; form-compatible since J is real."""
         return HVector(np.conj(self.entries), self.model)
-
-    def is_null(self, tol: float = TOL_NULL) -> bool:
-        return abs(self.norm2) < tol * float(
-            np.vdot(self.entries, self.entries).real
-        )
 
     def proportional_to(self, other: "HVector", tol: float = 1e-9) -> bool:
         c = _cross3(self.entries, other.entries)
@@ -126,19 +125,35 @@ def _check_models(*vs: HVector) -> Model:
     return model
 
 
-_ROLL1 = np.array([1, 2, 0])
-_ROLL2 = np.array([2, 0, 1])
+_ROLL = np.array([1, 2, 0])
 
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two 3-vectors; bit-identical to np.cross, faster."""
-    return a[_ROLL1] * b[_ROLL2] - a[_ROLL2] * b[_ROLL1]
+    """Cross product over the last axis; bit-identical to np.cross, faster."""
+    # roll(a * roll(b) - roll(a) * b); take() is cheaper than a[..., _ROLL]
+    return (a * b.take(_ROLL, -1) - a.take(_ROLL, -1) * b).take(_ROLL, -1)
+
+
+def _herm(a: np.ndarray, b: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Hermitian product <a, b> = b^dagger J a."""
+    return (np.conj(b)[..., None, :] @ (j @ a[..., None]))[..., 0, 0]
+
+
+def _box(a: np.ndarray, b: np.ndarray, jinv: np.ndarray) -> np.ndarray:
+    """Box product conj(J^-1 (a x b)), orthogonal to a and b."""
+    return np.conj(_cross3(a, b) @ jinv.T)
+
+
+def _null_margin(v: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Signed relative null margin <v, v> / |v|^2: negative inside the ball."""
+    vc, vv = np.conj(v)[..., None, :], v[..., None]
+    return (vc @ (j @ vv)).real[..., 0, 0] / (vc @ vv).real[..., 0, 0]
 
 
 def herm_inner(a: HVector, b: HVector) -> complex:
     """Hermitian product <a, b> = b^dagger J a."""
     model = _check_models(a, b)
-    return complex(np.conj(b.entries) @ (model.matrix @ a.entries))
+    return complex(_herm(a.entries, b.entries, model.matrix))
 
 
 def box(a: HVector, b: HVector) -> HVector | None:
@@ -148,11 +163,9 @@ def box(a: HVector, b: HVector) -> HVector | None:
     vanishes and there is no well-defined polar point).
     """
     model = _check_models(a, b)
-    cross = _cross3(a.entries, b.entries)
-    scale = float(np.linalg.norm(a.entries) * np.linalg.norm(b.entries))
-    if np.linalg.norm(cross) < 1e-14 * scale:
+    if a.proportional_to(b, tol=1e-14):
         return None
-    return HVector(np.conj(model.inverse @ cross), model)
+    return HVector(_box(a.entries, b.entries, model.inverse), model)
 
 
 def det3(a: HVector, b: HVector, c: HVector) -> complex:
@@ -179,16 +192,14 @@ class ProjectivePoint:
 
 def point_type(v: HVector, tol_null: float = TOL_NULL) -> ProjectivePoint:
     """Classify [v] as negative, null or positive for the ambient form."""
-    norm2 = v.norm2
-    euc = float(np.vdot(v.entries, v.entries).real)
-    margin = abs(norm2) / euc
-    if margin < tol_null:
+    margin = float(_null_margin(v.entries, v.model.matrix))
+    if abs(margin) < tol_null:
         kind = PointType.NULL
-    elif norm2 < 0:
+    elif margin < 0:
         kind = PointType.NEGATIVE
     else:
         kind = PointType.POSITIVE
-    return ProjectivePoint(v, kind, margin)
+    return ProjectivePoint(v, kind, abs(margin))
 
 
 def cayley(v: HVector, to_model: Model) -> HVector:
@@ -296,8 +307,8 @@ def classify(g: GroupElement, tol_lox: float = TOL_LOX) -> Classification:
         rot = 3.0 * theta
         if rot > math.pi:
             rot -= 2.0 * math.pi
-        attracting = point_type(HVector(vecs[:, i_max], g.model), tol_null=1e-6)
-        repelling = point_type(HVector(vecs[:, i_min], g.model), tol_null=1e-6)
+        attracting = point_type(HVector(vecs[:, i_max], g.model), TOL_EIGVEC)
+        repelling = point_type(HVector(vecs[:, i_min], g.model), TOL_EIGVEC)
         return Classification(
             ElementClass.LOXODROMIC, rot, (attracting, repelling)
         )

@@ -16,13 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import spearmanr
 
-from .boundary import INFINITY, BoundaryPoint, best_triple, cartan, cartan_lifts
+from .boundary import INFINITY, BoundaryPoint, best_triple, cartan, cartan_lifts, lifts
 from .circles import CurveSample, min_collinearity
 from .groups import (
-    LimitSetSample,
-    Representation,
     TriangleParams,
-    diagonal_loxodromic,
     heisenberg_translation,
     limit_set,
     screw_parabolic,
@@ -129,7 +126,7 @@ def sup_cartan(sample, refine: bool = False) -> SlimnessReport:
         sel = np.linspace(0, len(pts) - 1, MAX_SCAN_POINTS).astype(int)
         pts = [pts[i] for i in sel]
     n = len(pts)
-    h = cartan_lifts(np.array([p.lift.entries for p in pts]))
+    h = cartan_lifts(lifts(pts))
     best, witness = best_triple(n, lambda j: _abs_cartan_block(h, j))
     n_triples = n * (n - 1) * (n - 2) // 6
     triple = (pts[witness[0]], pts[witness[1]], pts[witness[2]])
@@ -145,8 +142,7 @@ def hyperconvexity(sample) -> HyperconvexityReport:
     pts = list(sample.points)
     if len(pts) < 3:
         raise GeometryError("need at least 3 points")
-    lifts = np.array([p.lift.entries for p in pts])
-    margin, (i, j, k) = min_collinearity(lifts)
+    margin, (i, j, k) = min_collinearity(lifts(pts))
     return HyperconvexityReport(margin, (pts[i], pts[j], pts[k]))
 
 

@@ -58,7 +58,9 @@ class TestSweepCommand:
         meta = data["metadata"]
         assert meta["version"] == __version__
         assert "seed" not in meta
-        assert set(meta["tolerances"]) == {"null", "loxodromic", "trace"}
+        assert set(meta["tolerances"]) == {
+            "null", "lox", "trace", "eigvec", "lift", "arc", "endpoint"
+        }
         assert len(meta["config_hash"]) == 64
 
     def test_empty_phase_range(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from crchains.boundary import BoundaryPoint, INFINITY
 from crchains.circles import (
@@ -14,8 +15,10 @@ from crchains.circles import (
     foliation_leaf_rcircle,
     spiral_curve,
 )
+from crchains import crowns
 from crchains.crowns import (
     Crown,
+    _curve_fn_from_sample,
     axis_at_infinity,
     build_crown,
     crossing_detector,
@@ -29,7 +32,7 @@ from crchains.groups import (
     heisenberg_translation,
     triangle_group,
 )
-from crchains.hermitian import GeometryError, random_form_preserving
+from crchains.hermitian import GeometryError, box, random_form_preserving
 
 RNG = np.random.default_rng(20240820)
 
@@ -237,3 +240,68 @@ class TestExport:
         assert report.status == "EMBEDDED"
         data = read_uniformization(export_uniformization(c2, report))
         assert len(data["arcs"]) == len(c2.arcs)
+
+
+def _per_point_crossings(sample, g, s_range=(0.0, 20.0), grid=2000, tol=1e-10):
+    """crossing_detector as it was, with one box-product pair per grid point;
+    returns the sign-change brackets and the hits."""
+    axis = axis_at_infinity(g)
+    curve = _curve_fn_from_sample(sample)
+    n_axis = box(axis.start.lift, axis.end.lift)
+
+    def f(s):
+        a = curve(-s).lift
+        b = curve(s).lift
+        chord = box(a, b)
+        if chord is None:
+            return 0.0
+        w = box(chord, n_axis)
+        if w is None:
+            return 0.0
+        return w.norm2 / float(
+            np.linalg.norm(chord.entries) ** 2 * np.linalg.norm(n_axis.entries) ** 2
+        )
+
+    ss = np.linspace(s_range[0] + 1e-6, s_range[1], grid)
+    vals = np.array([f(float(s)) for s in ss])
+    brackets, hits = [], []
+    for i in range(len(ss) - 1):
+        if vals[i] == 0.0 or vals[i] * vals[i + 1] >= 0:
+            continue
+        brackets.append((float(ss[i]), float(ss[i + 1])))
+        s_star = brentq(f, float(ss[i]), float(ss[i + 1]), xtol=1e-14)
+        if abs(f(s_star)) > tol:
+            continue
+        chord_arc = Arc(curve(-s_star), curve(s_star))
+        hit = arcs_intersect(chord_arc, axis)
+        if hit.kind is not ArcRelation.CROSS:
+            hit = arcs_intersect(chord_arc.opposite(), axis)
+            chord_arc = chord_arc.opposite()
+        if hit.kind is ArcRelation.CROSS:
+            hits.append((chord_arc, axis, hit.point))
+    return brackets, hits
+
+
+@pytest.mark.parametrize("a", [0.2, 0.3, 0.5, None])
+def test_crossing_grid_matches_per_point_reference(a, monkeypatch):
+    """One kernel call over the grid brackets the roots the per-point loop
+    bracketed, and the hits agree to 1e-12 chordal."""
+    if a is None:  # the R-circle control: no crossings
+        sample, g = RCircle.standard().sample(100), diagonal_loxodromic(1.0, 1.0)
+    else:
+        sample, g = spiral_curve(a), diagonal_loxodromic(complex(1.0, a), 1.0)
+    ref_brackets, ref_hits = _per_point_crossings(sample, g)
+    brackets = []
+
+    def recording_brentq(f, lo, hi, **kwargs):
+        brackets.append((lo, hi))
+        return brentq(f, lo, hi, **kwargs)
+
+    monkeypatch.setattr(crowns, "brentq", recording_brentq)
+    hits = crossing_detector(sample, g)
+    assert brackets == ref_brackets
+    assert len(hits) == len(ref_hits)
+    for (chord, axis, p), (ref_chord, ref_axis, ref_p) in zip(hits, ref_hits):
+        assert axis == ref_axis
+        for q, ref_q in ((chord.start, ref_chord.start), (chord.end, ref_chord.end), (p, ref_p)):
+            assert q.chordal(ref_q) < 1e-12

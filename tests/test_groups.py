@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from crchains.boundary import BoundaryPoint, INFINITY, normalizer_to_standard
-from crchains.crowns import axis_at_infinity, build_crown
+from crchains.circles import Arc, ArcRelation, arcs_intersect
+from crchains.crowns import (
+    EmbeddednessReport,
+    axis_at_infinity,
+    build_crown,
+    embeddedness,
+)
 from crchains.groups import (
     LimitSetSample,
     TriangleParams,
@@ -29,6 +35,7 @@ from crchains.hermitian import (
     HVector,
     Model,
     classify,
+    herm_inner,
     point_type,
 )
 
@@ -248,9 +255,43 @@ def _pairwise_crown_arcs(rep, gamma_word, words, eps=1e-6):
     return arcs
 
 
+def _per_pair_embeddedness(crown):
+    """embeddedness as it was when every pair recomputed both supports."""
+    arcs = crown.arcs
+    min_margin = math.inf
+    n = len(arcs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            li, ai = arcs[i]
+            lj, aj = arcs[j]
+            res = arcs_intersect(Arc(ai.start, ai.end), Arc(aj.start, aj.end))
+            if res.kind is ArcRelation.CROSS:
+                return EmbeddednessReport("CROSSING", None, (li, lj), res.point, n)
+            if res.kind is ArcRelation.DISJOINT:
+                min_margin = min(min_margin, res.margin)
+            elif res.kind is ArcRelation.SAME_SUPPORT and res.relation != "equal":
+                return EmbeddednessReport("CROSSING", None, (li, lj), None, n)
+    return EmbeddednessReport("EMBEDDED", float(min_margin), None, None, n)
+
+
+def _per_point_sample(arc, n, t_range):
+    """Arc.sample as it was: one Arc.point call, and one <b, a>, per t."""
+    out = []
+    for t in np.geomspace(t_range[0], t_range[1], n):
+        a, b = arc.start.lift, arc.end.lift
+        mu = 1j * float(t) / herm_inner(b, a)
+        out.append(BoundaryPoint.from_lift(HVector(a.entries + mu * b.entries)))
+    return out
+
+
+def _point_bits(points):
+    return np.array([[p.z.real, p.z.imag, p.t, p.at_infinity] for p in points]).tobytes()
+
+
 @pytest.mark.parametrize("phase", [math.pi, 3.9, 4.2742])
 def test_dedup_matches_pairwise_reference(phase):
-    """Vectorised dedup keeps exactly what the pairwise loops kept."""
+    """Vectorised dedup keeps exactly what the pairwise loops kept, and the
+    crown's arcs give what the per-pair and per-point loops gave."""
     rep = triangle_group(TriangleParams(3, 3, 4, phase))
     words = enumerate_words(rep, 7)
     ref = _pairwise_words(rep, 7)
@@ -263,6 +304,17 @@ def test_dedup_matches_pairwise_reference(phase):
     crown = build_crown(rep, "3212", 4, limit_length=4)
     ref_arcs = _pairwise_crown_arcs(rep, "3212", enumerate_words(rep, 4))
     assert list(crown.arcs) == ref_arcs
+
+    assert embeddedness(crown) == _per_pair_embeddedness(crown)
+    arcs = [arc for _, arc in crown.arcs]  # supports cached by now
+    for i, a1 in enumerate(arcs):
+        for a2 in arcs[i + 1 :]:
+            fresh = Arc(a1.start, a1.end), Arc(a2.start, a2.end)
+            assert arcs_intersect(a1, a2) == arcs_intersect(*fresh)
+    for _, arc in crown.arcs:
+        for n, t_range in ((64, (1e-2, 1e2)), (9, (1e-3, 1e3))):
+            ref = _per_point_sample(arc, n, t_range)
+            assert _point_bits(arc.sample(n, t_range)) == _point_bits(ref)
 
 
 class TestLimitSet:

@@ -15,6 +15,11 @@ from crchains.hermitian import (
     Model,
     ModelMismatchError,
     PointType,
+    TOL_NULL,
+    _CAYLEY,
+    _box,
+    _herm,
+    _null_margin,
     box,
     cayley,
     classify,
@@ -210,3 +215,69 @@ class TestErrors:
     def test_zero_vector_rejected(self):
         with pytest.raises(GeometryError):
             HVector(np.zeros(3))
+
+
+# Reference bodies of the scalar functions from before the array kernel,
+# kept verbatim apart from J^-1, which they took from Model.inverse.
+
+
+def _scalar_herm_inner(a, b):
+    return complex(np.conj(b.entries) @ (a.model.matrix @ a.entries))
+
+
+def _scalar_box(a, b):
+    cross = np.cross(a.entries, b.entries)
+    scale = float(np.linalg.norm(a.entries) * np.linalg.norm(b.entries))
+    if np.linalg.norm(cross) < 1e-14 * scale:
+        return None
+    return HVector(np.conj(np.linalg.inv(a.model.matrix) @ cross), a.model)
+
+
+def _scalar_point_type(v, tol_null=TOL_NULL):
+    norm2 = _scalar_herm_inner(v, v).real
+    euc = float(np.vdot(v.entries, v.entries).real)
+    margin = abs(norm2) / euc
+    if margin < tol_null:
+        return PointType.NULL, margin
+    return (PointType.NEGATIVE if norm2 < 0 else PointType.POSITIVE), margin
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_kernel_matches_scalar_reference(model):
+    """_herm, _box and _null_margin give the old scalar results bit for bit,
+    one vector at a time and batched over leading axes."""
+    rng = np.random.default_rng(31)
+    n = 240
+    a = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    a *= rng.lognormal(sigma=3.0, size=(n, 1))
+    b = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    # null rows too: standard lifts of random boundary points
+    z = rng.normal(size=n // 4) + 1j * rng.normal(size=n // 4)
+    null = np.stack([-abs(z) ** 2 + 1j * rng.normal(size=n // 4), z, np.ones(n // 4)], 1)
+    a[: n // 4] = null if model is Model.SIEGEL else null @ _CAYLEY.T
+    j, jinv = model.matrix, model.inverse
+    herm, polar, margin = _herm(a, b, j), _box(a, b, jinv), _null_margin(a, j)
+    # a (4, n/4, 3) stack gives the same rows as the flat batch
+    stacked = a.reshape(4, n // 4, 3), b.reshape(4, n // 4, 3)
+    assert _bits(_herm(*stacked, j)) == _bits(herm.reshape(4, n // 4))
+    assert _bits(_box(*stacked, jinv)) == _bits(polar.reshape(4, n // 4, 3))
+    assert _bits(_null_margin(stacked[0], j)) == _bits(margin.reshape(4, n // 4))
+    kinds = set()
+    for k in range(n):
+        va, vb = HVector(a[k], model), HVector(b[k], model)
+        ref = _scalar_herm_inner(va, vb)
+        assert _bits(herm_inner(va, vb)) == _bits(ref)
+        assert _bits(_herm(a[k], b[k], j)) == _bits(herm[k]) == _bits(ref)
+        ref_box = _scalar_box(va, vb).entries
+        assert _bits(box(va, vb).entries) == _bits(ref_box)
+        assert _bits(_box(a[k], b[k], jinv)) == _bits(polar[k]) == _bits(ref_box)
+        kind, ref_margin = _scalar_point_type(va)
+        pt = point_type(va)
+        assert pt.point_type is kind and _bits(pt.type_margin) == _bits(ref_margin)
+        assert _bits(abs(_null_margin(a[k], j))) == _bits(abs(margin[k])) == _bits(ref_margin)
+        kinds.add(kind)
+    assert kinds == set(PointType)

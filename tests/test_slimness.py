@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from crchains.boundary import BoundaryPoint, INFINITY, cartan_lifts
+from crchains.boundary import BoundaryPoint, INFINITY, cartan_lifts, lifts
 from crchains.circles import (
     Arc,
     CurveSample,
@@ -257,14 +257,15 @@ def test_triple_scan_matches_reference(name):
     """One triple scan gives what the per-row and per-pair loops gave."""
     sample = SCAN_SAMPLES[name]()
     pts = list(sample.points)
-    lifts = np.array([p.lift.entries for p in pts])
+    v = np.array([p.lift.entries for p in pts])
+    assert np.array_equal(lifts(pts), v)
 
-    best, (i, j, k) = _triu_cartan_scan(lifts)
+    best, (i, j, k) = _triu_cartan_scan(v)
     report = sup_cartan(sample)
     assert report.sup_estimate == best
     assert report.argmax_triple == (pts[i], pts[j], pts[k])
 
-    margin, (i, j, k) = _pairwise_collinearity(lifts)
+    margin, (i, j, k) = _pairwise_collinearity(v)
     hc = hyperconvexity(sample)
     assert hc.witness == (pts[i], pts[j], pts[k])
     # the determinant sums products of unit-size entries, so its rounding
@@ -272,7 +273,7 @@ def test_triple_scan_matches_reference(name):
     assert abs(hc.min_collinearity - margin) <= 4 * np.finfo(float).eps
 
     small = CurveSample(pts[:: max(1, len(pts) // 30)], False, "subsample")
-    ref_images, ref_margin = _pairwise_mobius(small.lifts())
+    ref_images, ref_margin = _pairwise_mobius(lifts(small.points))
     images, mob_margin = mobius_sample(small)
     assert len(images) == len(ref_images)
     for a, b in zip(images, ref_images):
