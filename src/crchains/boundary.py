@@ -19,6 +19,7 @@ from .hermitian import (
     Model,
     PointType,
     ProjectivePoint,
+    _CAYLEY,
     _H_SIEGEL,
     _null_margin,
     box,
@@ -38,12 +39,7 @@ class BoundaryPoint:
 
     @property
     def lift(self) -> HVector:
-        if self.at_infinity:
-            return HVector(np.array([1.0, 0.0, 0.0]), Model.SIEGEL)
-        return HVector(
-            np.array([-abs(self.z) ** 2 + 1j * self.t, self.z, 1.0]),
-            Model.SIEGEL,
-        )
+        return HVector(np.array(_lift_row(self)), Model.SIEGEL)
 
     @staticmethod
     def infinity() -> "BoundaryPoint":
@@ -53,19 +49,9 @@ class BoundaryPoint:
     def from_lift(v: HVector, tol: float = 1e-6) -> "BoundaryPoint":
         """Invert the standard lift; the input must be null.
 
-        The relative null residual is checked against `tol`; the t-coordinate
-        is read off the imaginary part so a small residual only perturbs,
-        never breaks, the inversion.
+        The one-row case of `points_from_lifts`.
         """
-        e = cayley(v, Model.SIEGEL).entries
-        residual = abs(_null_margin(e, _H_SIEGEL))
-        if residual > tol:
-            raise GeometryError(f"lift is not null (relative residual {residual:.2e})")
-        if abs(e[2]) <= 1e-9 * math.sqrt(np.vdot(e, e).real):
-            return BoundaryPoint.infinity()
-        z = e[1] / e[2]
-        t = (e[0] / e[2]).imag
-        return BoundaryPoint(complex(z), float(t))
+        return points_from_lifts(cayley(v, Model.SIEGEL).entries[None], tol)[0]
 
     def apply(self, g: GroupElement) -> "BoundaryPoint":
         return BoundaryPoint.from_lift(g.apply(cayley(self.lift, g.model)))
@@ -103,6 +89,53 @@ class BoundaryPoint:
 INFINITY = BoundaryPoint.infinity()
 
 
+def _lift_row(p: BoundaryPoint) -> tuple:
+    """Entries of the standard lift of p."""
+    if p.at_infinity:
+        return (1.0, 0.0, 0.0)
+    return (-abs(p.z) ** 2 + 1j * p.t, p.z, 1.0)
+
+
+def lifts(points) -> np.ndarray:
+    """Standard Siegel lifts of boundary points, one row each: (N, 3)."""
+    return np.array([_lift_row(p) for p in points], dtype=complex).reshape(-1, 3)
+
+
+def ball_rows(points) -> np.ndarray:
+    """Ball coordinates of boundary points, one `ball_coords` per row: (N, 2)."""
+    b = lifts(points) @ _CAYLEY.T
+    return b[:, :2] / b[:, 2:]
+
+
+def point_rows(e: np.ndarray):
+    """The rules of `BoundaryPoint.from_lift` on (N, 3) Siegel lifts.
+
+    Returns (residual, at_inf, z, t): the relative null residual, which the
+    caller holds against its tolerance, the rows read as infinity, and the
+    Heisenberg coordinates of the other rows.  t is read off the imaginary
+    part, so a small residual only perturbs, never breaks, the inversion.
+    """
+    residual = np.abs(_null_margin(e, _H_SIEGEL))
+    norm2 = (np.conj(e)[:, None, :] @ e[:, :, None]).real[:, 0, 0]
+    at_inf = np.abs(e[:, 2]) <= 1e-9 * np.sqrt(norm2)
+    den = np.where(at_inf, 1.0, e[:, 2])
+    return residual, at_inf, e[:, 1] / den, (e[:, 0] / den).imag
+
+
+def points_from_lifts(e: np.ndarray, tol: float = 1e-6) -> list[BoundaryPoint]:
+    """`BoundaryPoint.from_lift` on every row of an (N, 3) array of lifts."""
+    residual, at_inf, z, t = point_rows(e)
+    bad = np.flatnonzero(residual > tol)
+    if bad.size:
+        raise GeometryError(
+            f"lift is not null (relative residual {residual[bad[0]]:.2e})"
+        )
+    return [
+        INFINITY if inf else BoundaryPoint(zz, tt)
+        for inf, zz, tt in zip(at_inf.tolist(), z.tolist(), t.tolist())
+    ]
+
+
 @dataclass(frozen=True)
 class CartanValue:
     """Angular invariant of a boundary triple, in [-pi/2, pi/2]."""
@@ -127,11 +160,6 @@ def cartan(p: BoundaryPoint, q: BoundaryPoint, r: BoundaryPoint) -> CartanValue:
     if abs(prod) < 1e-12 * scale:
         return CartanValue(0.0, degenerate=True)
     return CartanValue(cmath.phase(prod))
-
-
-def lifts(points) -> np.ndarray:
-    """Standard Siegel lifts of boundary points, one row each: (N, 3)."""
-    return np.array([p.lift.entries for p in points]).reshape(-1, 3)
 
 
 def cartan_lifts(lifts: np.ndarray) -> np.ndarray:

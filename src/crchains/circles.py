@@ -18,8 +18,16 @@ from functools import cached_property
 
 import numpy as np
 from scipy.optimize import root
+from scipy.spatial import cKDTree
 
-from .boundary import INFINITY, BoundaryPoint, best_triple, lifts, normalizer_to_standard
+from .boundary import (
+    INFINITY,
+    BoundaryPoint,
+    best_triple,
+    lifts,
+    normalizer_to_standard,
+    points_from_lifts,
+)
 from .hermitian import (
     GeometryError,
     GroupElement,
@@ -147,8 +155,9 @@ class Arc:
             raise GeometryError("arc parameter must be positive")
         a, b = self.start.lift, self.end.lift
         h = herm_inner(b, a)
-        chart = (a.entries + (1j * t / h) * b.entries for t in ts)
-        return [BoundaryPoint.from_lift(HVector(v)) for v in chart]
+        # 1j * t / h stays a Python scalar per t: numpy rounds it differently
+        chart = [a.entries + (1j * t / h) * b.entries for t in ts]
+        return points_from_lifts(np.array(chart).reshape(-1, 3))
 
     def param_of(self, p: BoundaryPoint) -> tuple[float, float]:
         """Chart parameter of p (infinite at the far endpoint) + residual.
@@ -311,7 +320,9 @@ def foliation_leaf_rcircle(p: BoundaryPoint) -> Arc:
     the circle polar to m hits the R-circle twice, and the leaf is the side
     containing p.
     """
-    if RCircle.standard().contains(p):
+    # RCircle.standard().contains(p), in closed form
+    tol = 1e-8
+    if p.at_infinity or (abs(p.z.imag) < tol and abs(p.t) < tol):
         raise GeometryError("point lies on the R-circle")
     v = p.lift
     m = box(v, v.conjugated())
@@ -522,21 +533,22 @@ def spiral_curve(
     return CurveSample(pts, closed=False, source=f"spiral:{a:.6g}")
 
 
+def _det_block(unit: np.ndarray, j: int) -> np.ndarray:
+    """|u_i . (u_j x u_k)| for i < j < k, as a (j, n - j - 1) block."""
+    # summed term by term in a fixed order: a BLAS product would round each
+    # value differently for each block shape
+    cr = _cross3(unit[j], unit[j + 1 :]).T
+    u = unit[:j, :, None]
+    return np.abs(u[:, 0] * cr[0] + u[:, 1] * cr[1] + u[:, 2] * cr[2])
+
+
 def min_collinearity(lifts: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     """Minimal normalized |det| over distinct index triples of lifts.
 
     A zero value witnesses three points on a common complex line.
     """
     unit = lifts / np.linalg.norm(lifts, axis=1)[:, None]
-
-    def block(j):
-        # |u_i . (u_j x u_k)|, summed term by term in a fixed order: a BLAS
-        # product would round each value differently for each block shape
-        cr = _cross3(unit[j], unit[j + 1 :]).T
-        u = unit[:j, :, None]
-        return np.abs(u[:, 0] * cr[0] + u[:, 1] * cr[1] + u[:, 2] * cr[2])
-
-    return best_triple(len(unit), block, sign=-1)
+    return best_triple(len(unit), lambda j: _det_block(unit, j), sign=-1)
 
 
 def mobius_sample(
@@ -546,37 +558,40 @@ def mobius_sample(
 
     Pairs (x, y) and (y, x) give the same image; the margin is the minimal
     projective (Fubini-Study) distance between images of distinct pairs.
-    Raises on a hyperconvexity violation, naming a witness triple.
+    Raises on a hyperconvexity violation, naming a witness triple.  The
+    test divides each triple determinant by the product of the pairwise
+    separations of the unit lifts: the determinant of three close points
+    shrinks like the cube of their spacing, the ratio does not.
     """
     v = lifts(sample.points)
-    coll, witness = min_collinearity(v)
+    unit = v / np.linalg.norm(v, axis=1)[:, None]
+    sep = np.linalg.norm(unit[:, None, :] - unit[None, :, :], axis=-1)
+
+    def block(j):
+        scale = sep[:j, j, None] * sep[None, j, j + 1 :] * sep[:j, j + 1 :]
+        det = _det_block(unit, j)
+        # coincident points: the determinant vanishes, so does the ratio
+        return np.divide(det, scale, out=np.zeros_like(det), where=scale > 0)
+
+    coll, witness = best_triple(len(unit), block, sign=-1)
     if coll < hyperconvex_tol:
         raise GeometryError(
             f"sample is not hyperconvex: triple {witness} is collinear "
-            f"(normalized det {coll:.2e})"
+            f"(det over separations {coll:.2e})"
         )
     i, j = np.triu_indices(v.shape[0], k=1)
     polars = _box(v[i], v[j], _H_SIEGEL_INV)  # one row per pair
     images = [point_type(HVector(w)) for w in polars]
-    # ball-model affine coordinates for the chordal margin; clamp the chart
-    # denominator: images on the hyperplane at infinity get huge
-    # coordinates and never realize the minimum
+    # nearest distinct image in the ball-model affine chart; images on the
+    # hyperplane at infinity have no chart point and never realize it
     ball = polars @ _CAYLEY.T
-    denom = np.where(np.abs(ball[:, 2]) > 1e-200, ball[:, 2], 1e-200)
-    rep = ball[:, :2] / denom[:, None]
-    m = rep.shape[0]
+    finite = np.abs(ball[:, 2]) > 1e-200
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = (ball[finite, :2] / ball[finite, 2:]).view(float)
+    rep = rep[np.isfinite(rep).all(axis=1)]
     margin = math.inf
-    block = 512
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
-        diff = rep[lo:hi, None, :] - rep[None, :, :]
-        # clamped chart points overflow to inf here, which is correct
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = np.linalg.norm(diff, axis=2)
-        d = np.where(np.isnan(d), math.inf, d)
-        for r in range(hi - lo):
-            d[r, lo + r] = math.inf
-        margin = min(margin, float(np.min(d)))
+    if len(rep) > 1:
+        margin = float(cKDTree(rep).query(rep, k=2)[0][:, 1].min())
     return images, margin
 
 

@@ -183,6 +183,8 @@ def cmd_crown(args) -> int:
                 "min_margin": report.min_margin,
                 "witness": list(report.witness) if report.witness else None,
                 "arcs_tested": report.arcs_tested,
+                "pairs_screened": report.pairs_screened,
+                "pairs_exact": report.pairs_exact,
                 "metadata": _metadata(cfg),
             },
             indent=1,

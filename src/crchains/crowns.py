@@ -8,15 +8,16 @@ separation margin.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .boundary import BoundaryPoint, lifts
+from .boundary import BoundaryPoint, ball_rows, lifts, points_from_lifts
 from .circles import (
     Arc,
     ArcRelation,
@@ -28,32 +29,51 @@ from .groups import (
     LimitSetSample,
     Representation,
     _Dedup,
+    _limit_sample,
     enumerate_words,
-    limit_set,
 )
 from .hermitian import (
     ElementClass,
     GeometryError,
     GroupElement,
+    IndeterminateClassError,
+    Model,
     TOL_LIFT,
+    TOL_NULL,
+    _CAYLEY_INV,
     _H_SIEGEL,
     _H_SIEGEL_INV,
     _box,
+    _classify_rows,
+    _cross3,
     _herm,
+    _null_margin,
+    _unit_det,
 )
+
+
+def _axis_ends(m: np.ndarray, model: Model = Model.SIEGEL) -> list[BoundaryPoint]:
+    """Repelling, then attracting fixed point of each element of a stack.
+
+    Raises unless every element is loxodromic.
+    """
+    kinds, _, attracting, repelling, r = _classify_rows(m)
+    bad = np.flatnonzero(kinds != ElementClass.LOXODROMIC)
+    if bad.size:
+        if kinds[bad[0]] is None:
+            raise IndeterminateClassError(
+                f"leading modulus {r[bad[0]]:.12f} inside the tolerance band"
+            )
+        raise GeometryError("axis at infinity requires a loxodromic element")
+    fixed = np.stack([repelling, attracting], axis=1).reshape(-1, 3)
+    if model is Model.BALL:  # one row at a time, as `cayley` moves a lift
+        fixed = np.array([_CAYLEY_INV @ v for v in fixed])
+    return points_from_lifts(fixed, TOL_LIFT)
 
 
 def axis_at_infinity(g: GroupElement) -> Arc:
     """Arc from the repelling to the attracting fixed point of g."""
-    cls = g.classification
-    if cls.kind is not ElementClass.LOXODROMIC:
-        raise GeometryError("axis at infinity requires a loxodromic element")
-    assert cls.fixed_points is not None
-    attracting, repelling = cls.fixed_points
-    return Arc(
-        BoundaryPoint.from_lift(repelling.representative, tol=TOL_LIFT),
-        BoundaryPoint.from_lift(attracting.representative, tol=TOL_LIFT),
-    )
+    return Arc(*_axis_ends(g.matrix[None], g.model))
 
 
 @dataclass(frozen=True)
@@ -67,12 +87,6 @@ class Crown:
     word_length: int
 
 
-def _fixed_pair_key(arc: Arc) -> np.ndarray:
-    return np.concatenate(
-        [arc.start.ball_coords().view(float), arc.end.ball_coords().view(float)]
-    )
-
-
 def build_crown(
     rep: Representation,
     gamma_word: str,
@@ -84,59 +98,94 @@ def build_crown(
 
     Cosets are deduplicated by the unordered fixed-point pair of the
     conjugated element: conjugates share an axis exactly when they share
-    their fixed points.
+    their fixed points.  One enumeration serves the arcs and the limit
+    set: the words up to the shorter length are a prefix of the longer
+    list.  All conjugates are classified by one eig call.
     """
     gamma = rep.word(gamma_word)
     if gamma.classification.kind is not ElementClass.LOXODROMIC:
         raise GeometryError("crown core element must be loxodromic")
-    arcs: list[tuple[str, Arc]] = []
-    kept = _Dedup(dedup_eps)
-
-    def push(label: str, arc: Arc) -> None:
-        if kept.add(np.stack([_fixed_pair_key(arc), _fixed_pair_key(arc.opposite())])):
-            arcs.append((label, arc))
-
-    push("", axis_at_infinity(gamma))
-    if length > 0:
-        for word, g in enumerate_words(rep, length):
-            if not word:
-                continue
-            conj = g @ gamma @ g.inverse()
-            push(word, axis_at_infinity(conj))
-    ls = limit_set(rep, limit_length if limit_length is not None else max(length, 6))
-    return Crown(rep, gamma_word, tuple(arcs), ls, length)
+    if limit_length is None:
+        limit_length = max(length, 6)
+    words = enumerate_words(rep, max(length, limit_length))
+    n_arcs = bisect.bisect_right([len(w) for w, _ in words], length)
+    g = np.array([w.matrix for _, w in words[1:n_arcs]]).reshape(-1, 3, 3)
+    # g gamma g^-1, normalized after each product as GroupElement's @ does
+    conj = _unit_det(_unit_det(g @ gamma.matrix) @ _unit_det(np.linalg.inv(g)))
+    ends = _axis_ends(np.concatenate([gamma.matrix[None], conj]))
+    key = ball_rows(ends).view(float).reshape(-1, 2, 4)
+    pair = np.stack([key.reshape(-1, 8), key[:, ::-1].reshape(-1, 8)], axis=1)
+    keep = _Dedup(dedup_eps).keep(pair)
+    labels = [""] + [w for w, _ in words[1:n_arcs]]
+    arcs = tuple(
+        (labels[k], Arc(ends[2 * k], ends[2 * k + 1])) for k in np.flatnonzero(keep)
+    )
+    ls = _limit_sample(words, limit_length)
+    return Crown(rep, gamma_word, arcs, ls, length)
 
 
 @dataclass(frozen=True)
 class EmbeddednessReport:
-    """EMBEDDED with the minimal separation margin, or CROSSING witness."""
+    """EMBEDDED with the minimal separation margin, or CROSSING witness.
+
+    Counters, not part of the verdict: pairs settled by the batched screen
+    and pairs passed on to `arcs_intersect`.
+    """
 
     status: str  # "EMBEDDED" or "CROSSING"
     min_margin: float | None
     witness: tuple[str, str] | None
     witness_point: BoundaryPoint | None
     arcs_tested: int
+    pairs_screened: int = field(default=0, compare=False)
+    pairs_exact: int = field(default=0, compare=False)
 
 
 def embeddedness(crown: Crown) -> EmbeddednessReport:
-    """All-pairs crossing test over the crown arcs."""
+    """All-pairs crossing test over the crown arcs.
+
+    One kernel call boxes the support polars of every pair.  A pair whose
+    supports are not the same circle and whose polar box is clear of the
+    null cone has disjoint supports, with the margin `ccircles_intersect`
+    gives it.  The other pairs go to `arcs_intersect` in (i, j) order, so
+    the first crossing found is the one a loop over all pairs finds.
+    """
     arcs = crown.arcs
-    min_margin = math.inf
     n = len(arcs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            li, ai = arcs[i]
-            lj, aj = arcs[j]
-            res = arcs_intersect(ai, aj)
-            if res.kind is ArcRelation.CROSS:
-                return EmbeddednessReport(
-                    "CROSSING", None, (li, lj), res.point, n
-                )
-            if res.kind is ArcRelation.DISJOINT:
-                min_margin = min(min_margin, res.margin)
-            elif res.kind is ArcRelation.SAME_SUPPORT and res.relation != "equal":
-                return EmbeddednessReport("CROSSING", None, (li, lj), None, n)
-    return EmbeddednessReport("EMBEDDED", float(min_margin), None, None, n)
+    polars = _box(
+        lifts([arc.start for _, arc in arcs]),
+        lifts([arc.end for _, arc in arcs]),
+        _H_SIEGEL_INV,
+    )
+    i, j = np.triu_indices(n, k=1)
+    boxed = _box(polars[i], polars[j], _H_SIEGEL_INV)
+    with np.errstate(invalid="ignore"):  # equal supports box to zero: NaN
+        margin = np.abs(_null_margin(boxed, _H_SIEGEL))
+    # CCircle.same_as compares this ratio with 1e-9; a pair near that line
+    # goes to the exact test, whose verdict decides
+    size = np.linalg.norm(polars, axis=-1)
+    cross = np.linalg.norm(_cross3(polars[i], polars[j]), axis=-1)
+    ratio = cross / (size[i] * size[j])
+    screened = (ratio > 2e-9) & (margin >= TOL_NULL)
+    min_margin = float(np.min(margin[screened], initial=math.inf))
+    n_screened = int(screened.sum())
+    exact = np.flatnonzero(~screened)
+    for tested, k in enumerate(exact.tolist(), start=1):
+        li, ai = arcs[i[k]]
+        lj, aj = arcs[j[k]]
+        res = arcs_intersect(ai, aj)
+        crossing = res.kind is ArcRelation.CROSS or (
+            res.kind is ArcRelation.SAME_SUPPORT and res.relation != "equal"
+        )
+        if crossing:
+            return EmbeddednessReport(
+                "CROSSING", None, (li, lj), res.point, n, n_screened, tested
+            )
+        if res.kind is ArcRelation.DISJOINT:
+            min_margin = min(min_margin, res.margin)
+    return EmbeddednessReport(
+        "EMBEDDED", float(min_margin), None, None, n, n_screened, len(exact)
+    )
 
 
 def _curve_fn_from_sample(sample: CurveSample) -> Callable[[float], BoundaryPoint]:

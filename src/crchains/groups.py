@@ -9,14 +9,16 @@ coordinate on it.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.spatial import cKDTree
 
-from .boundary import BoundaryPoint
+from .boundary import BoundaryPoint, ball_rows, point_rows, points_from_lifts
 from .hermitian import (
     ElementClass,
     GeometryError,
@@ -26,6 +28,8 @@ from .hermitian import (
     PointType,
     ProjectivePoint,
     TOL_LIFT,
+    _classify_rows,
+    _unit_det,
     cayley,
     point_type,
 )
@@ -224,29 +228,44 @@ def _admissible_phase_bracket(
 class _Dedup:
     """First-come deduplication of keys under the Euclidean norm.
 
-    Accepted keys live in a growing (K, d) array, so one numpy expression
-    answers whether any variant of a candidate lies within tol of a kept
-    key.
+    `keep` takes a whole batch of candidates at once.  A k-d tree finds the
+    key pairs within 2 tol; the exact norm test runs on those pairs only.
     """
 
     def __init__(self, tol: float):
         self.tol = tol
         self._keys: np.ndarray | None = None
-        self._n = 0
 
-    def add(self, variants: np.ndarray) -> bool:
-        """Keep variants[0] unless some variant is within tol of a kept key."""
-        variants = np.atleast_2d(variants)
-        if self._keys is None:
-            self._keys = np.empty((64, variants.shape[1]), variants.dtype)
-        kept = self._keys[: self._n]
-        if (np.linalg.norm(kept - variants[:, None, :], axis=-1) < self.tol).any():
-            return False
-        if self._n == len(self._keys):
-            self._keys = np.concatenate([self._keys, np.empty_like(self._keys)])
-        self._keys[self._n] = variants[0]
-        self._n += 1
-        return True
+    def keep(self, variants: np.ndarray) -> np.ndarray:
+        """Mask of the candidates kept, in order, from (N, V, d) variants.
+
+        Candidate n is dropped when one of its variants lies within tol of
+        a kept key: one from an earlier batch, or that of a candidate kept
+        before n in this batch.  A kept candidate's key is variants[n, 0].
+        """
+        n_new, n_var, d = variants.shape
+        if not n_new:
+            return np.ones(0, dtype=bool)
+        keys = np.ascontiguousarray(variants[:, 0])
+        if self._keys is not None:
+            keys = np.concatenate([self._keys, keys])
+        n_old = len(keys) - n_new
+        flat = variants.reshape(n_new * n_var, d)
+        near = cKDTree(keys.view(float)).sparse_distance_matrix(
+            cKDTree(flat.view(float)), 2 * self.tol, output_type="ndarray"
+        )
+        k, q = near["i"], near["j"]
+        close = np.linalg.norm(keys[k] - flat[q], axis=-1) < self.tol
+        k, n = k[close] - n_old, q[close] // n_var
+        kept = np.ones(n_new, dtype=bool)
+        kept[n[k < 0]] = False
+        # conflicts inside the batch hold only when the earlier one is kept
+        later = (k >= 0) & (k < n)
+        for m, c in sorted(zip(n[later].tolist(), k[later].tolist())):
+            if kept[c]:
+                kept[m] = False
+        self._keys = np.concatenate([keys[:n_old], keys[n_old:][kept]])
+        return kept
 
 
 def enumerate_words(
@@ -256,45 +275,59 @@ def enumerate_words(
 
     Words avoid immediate letter repetition (the generators are
     involutions); the residual relations are caught by matrix
-    deduplication over the three central lifts.
+    deduplication over the three central lifts.  Each BFS level is one
+    batched product and one deduplication, in the order (word, letter).
     """
     if length < 1:
         raise GeometryError("word length must be at least 1")
+    gens = np.array([g.matrix for g in rep.generators])
     kept = _Dedup(tol_dedup)
-    kept.add(np.eye(3, dtype=complex).ravel())
-    out: list[tuple[str, GroupElement]] = [("", GroupElement(np.eye(3)))]
-    frontier = [("", np.eye(3, dtype=complex))]
+    frontier = np.eye(3, dtype=complex)[None]
+    kept.keep(frontier.reshape(1, 1, 9))
+    words, last = [""], np.array([-1])
+    mats = [frontier]
     for _ in range(length):
-        new_frontier = []
-        for word, mat in frontier:
-            last = word[-1] if word else ""
-            for k in "123":
-                if k == last:
-                    continue
-                m = mat @ rep.generators[int(k) - 1].matrix
-                if not kept.add(m.ravel() * _CENTRAL[:, None]):
-                    continue
-                g = GroupElement(m)
-                out.append((word + k, g))
-                new_frontier.append((word + k, m))
-        frontier = new_frontier
-    return out
+        # candidates in (frontier word, letter) order, no letter twice in a row
+        parent, letter = np.nonzero(np.arange(3) != last[:, None])
+        cand = frontier[parent] @ gens[letter]
+        keep = kept.keep(cand.reshape(-1, 1, 9) * _CENTRAL[:, None])
+        start = len(words) - len(frontier)
+        words += [
+            words[start + f] + "123"[k]
+            for f, k in zip(parent[keep].tolist(), letter[keep].tolist())
+        ]
+        frontier, last = cand[keep], letter[keep]
+        mats.append(frontier)
+    return [
+        (word, GroupElement._unit(m))
+        for word, m in zip(words, _unit_det(np.concatenate(mats)))
+    ]
 
 
 @dataclass(frozen=True)
 class LimitSetSample:
-    """Deduplicated attracting fixed points of loxodromic words."""
+    """Deduplicated attracting fixed points of loxodromic words.
+
+    Counters: words enumerated; words skipped as not loxodromic or
+    indeterminate; fixed points rejected as non-null lifts; fixed points
+    dropped as duplicates.  2 (n_words - n_skipped) = len(points) +
+    n_rejected + n_duplicates.
+    """
 
     points: list[BoundaryPoint]
     word_length: int
     dedup_eps: float
+    n_words: int
+    n_skipped: int
+    n_rejected: int
+    n_duplicates: int
 
 
 def _angular_order(points: list[BoundaryPoint]) -> list[BoundaryPoint]:
     """Sort by angle in the dominant principal plane of the ball coordinates."""
     if len(points) < 3:
         return points
-    coords = np.array([p.ball_coords().view(float) for p in points])
+    coords = ball_rows(points).view(float)
     centered = coords - coords.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     proj = centered @ vt[:2].T
@@ -302,31 +335,39 @@ def _angular_order(points: list[BoundaryPoint]) -> list[BoundaryPoint]:
     return [points[i] for i in np.argsort(angles)]
 
 
+def _limit_sample(
+    words: list[tuple[str, GroupElement]], length: int, eps: float = 1e-3
+) -> LimitSetSample:
+    """Limit set from the words of length <= length of an enumeration."""
+    words = words[: bisect.bisect_right([len(w) for w, _ in words], length)]
+    kinds, _, attracting, repelling, _ = _classify_rows(
+        np.array([g.matrix for _, g in words])
+    )
+    lox = kinds == ElementClass.LOXODROMIC
+    # attracting, then repelling fixed point of each word, in word order
+    fixed = np.stack([attracting[lox], repelling[lox]], axis=1).reshape(-1, 3)
+    null = ~(point_rows(fixed)[0] > TOL_LIFT)  # the others are rejected
+    pts = points_from_lifts(fixed[null], TOL_LIFT)
+    keep = _Dedup(eps).keep(ball_rows(pts).view(float)[:, None, :])
+    pts = [p for p, k in zip(pts, keep.tolist()) if k]
+    if not pts:
+        raise GeometryError("no loxodromic word found up to the given length")
+    return LimitSetSample(
+        _angular_order(pts),
+        length,
+        eps,
+        n_words=len(words),
+        n_skipped=int(len(words) - lox.sum()),
+        n_rejected=int(len(null) - null.sum()),
+        n_duplicates=int(len(keep) - keep.sum()),
+    )
+
+
 def limit_set(
     rep: Representation, length: int, eps: float = 1e-3
 ) -> LimitSetSample:
     """Attracting fixed points of all loxodromic words up to a length."""
-    words = enumerate_words(rep, length)
-    pts: list[BoundaryPoint] = []
-    kept = _Dedup(eps)
-    for _, g in words:
-        try:
-            cls = g.classification
-        except GeometryError:
-            continue
-        if cls.kind is not ElementClass.LOXODROMIC:
-            continue
-        assert cls.fixed_points is not None
-        for fp in cls.fixed_points:
-            try:
-                p = BoundaryPoint.from_lift(fp.representative, tol=TOL_LIFT)
-            except GeometryError:
-                continue
-            if kept.add(p.ball_coords().view(float)):
-                pts.append(p)
-    if not pts:
-        raise GeometryError("no loxodromic word found up to the given length")
-    return LimitSetSample(_angular_order(pts), length, eps)
+    return _limit_sample(enumerate_words(rep, length), length, eps)
 
 
 def heisenberg_translation(w: complex, s: float) -> GroupElement:

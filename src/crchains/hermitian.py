@@ -249,10 +249,15 @@ class GroupElement:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex).reshape(3, 3)
-        det = np.linalg.det(m)
-        # Normalize to determinant one by the principal cube root.
-        m = m / det ** (1.0 / 3.0)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _unit_det(m))
+
+    @classmethod
+    def _unit(cls, m: np.ndarray, model: Model = Model.SIEGEL) -> "GroupElement":
+        """Wrap a matrix that `_unit_det` has already normalized."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "matrix", m)
+        object.__setattr__(g, "model", model)
+        return g
 
     def form_residual(self) -> float:
         j = self.model.matrix
@@ -286,49 +291,75 @@ class GroupElement:
         return complex(np.trace(self.matrix))
 
 
+def _unit_det(m: np.ndarray) -> np.ndarray:
+    """Scale (..., 3, 3) matrices to determinant one by the principal cube root."""
+    return m / (np.linalg.det(m) ** (1.0 / 3.0))[..., None, None]
+
+
+# Row kinds of _classify_rows by code, 1 to 4 in declaration order; code 0,
+# None, is the indeterminate band.
+_KINDS = np.array([None, *ElementClass], dtype=object)
+
+
+def _classify_rows(m: np.ndarray, tol_lox: float = TOL_LOX):
+    """The classification rules on a (K, 3, 3) stack, with one eig call.
+
+    Returns (kinds, lam, attracting, repelling, r): kinds is an object
+    array of ElementClass, None inside the indeterminate band; lam is the
+    leading eigenvalue and r its modulus; attracting and repelling (K, 3)
+    are the eigenvectors of largest and smallest modulus.
+    """
+    vals, vecs = np.linalg.eig(m)
+    moduli = np.abs(vals)
+    rows = np.arange(len(m))
+    i_max, i_min = moduli.argmax(axis=-1), moduli.argmin(axis=-1)
+    r = moduli[rows, i_max]
+    lox = r > 1.0 + tol_lox
+    band = ~lox & (r > 1.0 + 0.1 * tol_lox)
+    # All moduli are 1 up to tolerance: elliptic iff diagonalizable, which
+    # well separated eigenvalues always are; otherwise test the conditioning
+    # of the eigenvector basis.
+    gaps = np.abs(vals[:, [0, 0, 1]] - vals[:, [1, 2, 2]]).min(axis=-1)
+    diagonal = gaps > 1e-8
+    unsure = ~lox & ~band & ~diagonal
+    if unsure.any():
+        diagonal[unsure] = np.linalg.cond(vecs[unsure]) < 1e6
+    code = np.where(diagonal, 3, 2)
+    code[band] = 0
+    code[lox] = 1
+    code[(np.abs(m - np.eye(3)) <= 1e-12).all(axis=(-2, -1))] = 4
+    attracting, repelling = vecs[rows, :, i_max], vecs[rows, :, i_min]
+    return _KINDS[code], vals[rows, i_max], attracting, repelling, r
+
+
 def classify(g: GroupElement, tol_lox: float = TOL_LOX) -> Classification:
     """Classify a form-preserving element by its eigenvalue moduli.
 
     Loxodromic elements have eigenvalue moduli (r, 1, 1/r) with r > 1;
     the rotation factor is three times the normalized argument of the
-    leading eigenvalue, mapped to (-pi, pi].
+    leading eigenvalue, mapped to (-pi, pi].  The one-row case of
+    `_classify_rows`.
     """
-    if np.allclose(g.matrix, np.eye(3), rtol=0.0, atol=1e-12):
-        return Classification(ElementClass.IDENTITY)
-    vals, vecs = np.linalg.eig(g.matrix)
-    moduli = np.abs(vals)
-    i_max = int(np.argmax(moduli))
-    i_min = int(np.argmin(moduli))
-    r = moduli[i_max]
-    if r > 1.0 + tol_lox:
-        lam = vals[i_max]
-        factor = _central_normalize(lam)
-        theta = cmath.phase(lam * factor)
-        rot = 3.0 * theta
-        if rot > math.pi:
-            rot -= 2.0 * math.pi
-        attracting = point_type(HVector(vecs[:, i_max], g.model), TOL_EIGVEC)
-        repelling = point_type(HVector(vecs[:, i_min], g.model), TOL_EIGVEC)
-        return Classification(
-            ElementClass.LOXODROMIC, rot, (attracting, repelling)
-        )
-    if r > 1.0 + 0.1 * tol_lox:
+    kinds, lam, attracting, repelling, r = _classify_rows(g.matrix[None], tol_lox)
+    kind = kinds[0]
+    if kind is None:
         raise IndeterminateClassError(
-            f"leading modulus {r:.12f} inside the tolerance band"
+            f"leading modulus {r[0]:.12f} inside the tolerance band"
         )
-    # All moduli are 1 up to tolerance: elliptic iff diagonalizable.
-    if _is_diagonalizable(g.matrix, vals, vecs):
-        return Classification(ElementClass.ELLIPTIC)
-    return Classification(ElementClass.PARABOLIC)
-
-
-def _is_diagonalizable(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> bool:
-    # Well separated eigenvalues always diagonalize; otherwise test the
-    # eigenvector basis conditioning.
-    gaps = [abs(vals[i] - vals[j]) for i in range(3) for j in range(i + 1, 3)]
-    if min(gaps) > 1e-8:
-        return True
-    return bool(np.linalg.cond(vecs) < 1e6)
+    if kind is not ElementClass.LOXODROMIC:
+        return Classification(kind)
+    theta = cmath.phase(lam[0] * _central_normalize(lam[0]))
+    rot = 3.0 * theta
+    if rot > math.pi:
+        rot -= 2.0 * math.pi
+    return Classification(
+        ElementClass.LOXODROMIC,
+        rot,
+        (
+            point_type(HVector(attracting[0], g.model), TOL_EIGVEC),
+            point_type(HVector(repelling[0], g.model), TOL_EIGVEC),
+        ),
+    )
 
 
 def is_real_loxodromic(g: GroupElement, tol: float = TOL_TRACE) -> bool:

@@ -29,6 +29,9 @@ from .hermitian import GeometryError
 
 MAX_SCAN_POINTS = 400
 
+# The LimitSetSample counters every sweep row carries; None on a failed row.
+COUNTERS = ("n_words", "n_skipped", "n_rejected", "n_duplicates")
+
 
 @dataclass(frozen=True)
 class SlimnessReport:
@@ -154,6 +157,7 @@ class SweepRow:
     sup_estimate: float
     argmax: tuple[BoundaryPoint, BoundaryPoint, BoundaryPoint]
     error: str | None = None
+    counters: tuple[int, ...] | None = None  # LimitSetSample's, in COUNTERS order
 
 
 @dataclass(frozen=True)
@@ -177,6 +181,7 @@ class SweepResult:
                     None if r.error is not None else [str(p) for p in r.argmax]
                 ),
                 "error": r.error,
+                **dict(zip(COUNTERS, r.counters or (None,) * len(COUNTERS))),
             }
             for r in self.rows
         ]
@@ -248,6 +253,7 @@ def sweep(
                     len(ls.points),
                     rep_report.sup_estimate,
                     rep_report.argmax_triple,
+                    counters=tuple(getattr(ls, name) for name in COUNTERS),
                 )
             )
         except GeometryError as exc:

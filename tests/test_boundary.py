@@ -195,3 +195,45 @@ class TestDistancesAndMargins:
             a = abs(cartan(INFINITY, BoundaryPoint(0, 0), p).angle)
             margin = paraboloid_margin(p, alpha)
             assert (a <= alpha) == (margin >= 0)
+
+
+def _reference_from_lift(e, tol=1e-6):
+    """BoundaryPoint.from_lift as it was, one Siegel lift at a time."""
+    from crchains.hermitian import _H_SIEGEL, _null_margin
+
+    residual = abs(_null_margin(e, _H_SIEGEL))
+    if residual > tol:
+        raise GeometryError(f"lift is not null (relative residual {residual:.2e})")
+    if abs(e[2]) <= 1e-9 * math.sqrt(np.vdot(e, e).real):
+        return BoundaryPoint.infinity()
+    return BoundaryPoint(complex(e[1] / e[2]), float((e[0] / e[2]).imag))
+
+
+def _bits(points):
+    return np.array([[p.z.real, p.z.imag, p.t, p.at_infinity] for p in points]).tobytes()
+
+
+def test_array_rules_match_scalar_point_rules():
+    """lifts, ball_rows and points_from_lifts give the scalar rules' bits."""
+    from crchains.boundary import ball_rows, lifts, points_from_lifts
+
+    rng = np.random.default_rng(11)
+    scale = 10.0 ** rng.uniform(-4, 4, size=(300, 1))
+    zt = rng.normal(size=(300, 3)) * scale
+    points = [BoundaryPoint(complex(a, b), float(t)) for a, b, t in zt]
+    points += [BoundaryPoint(np.complex128(a + 1j * b), t) for a, b, t in zt[:20]]
+    points += [BoundaryPoint(float(a), 0.0) for a, _, _ in zt[:20]] + [INFINITY]
+    v = lifts(points)
+    ref = [(1, 0, 0) if p.at_infinity else (-abs(p.z) ** 2 + 1j * p.t, p.z, 1) for p in points]
+    assert v.tobytes() == np.array(ref, dtype=complex).tobytes()
+    assert v.tobytes() == np.array([p.lift.entries for p in points]).tobytes()
+    assert ball_rows(points).tobytes() == np.array([p.ball_coords() for p in points]).tobytes()
+
+    e = v * (rng.normal(size=(len(v), 1)) + 1j * rng.normal(size=(len(v), 1)))
+    ref = [_reference_from_lift(row) for row in e]
+    assert _bits(points_from_lifts(e)) == _bits(ref)
+    assert _bits(BoundaryPoint.from_lift(HVector(row)) for row in e) == _bits(ref)
+    bad = e.copy()
+    bad[5, 1] *= 2.0  # no longer null
+    with pytest.raises(GeometryError, match="not null"):
+        points_from_lifts(bad)

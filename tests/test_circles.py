@@ -28,9 +28,10 @@ from crchains.circles import (
     spiral_curve,
     spiral_point,
     tangent_polar,
+    _real_null_points_on_polar,
 )
 from crchains.groups import diagonal_loxodromic, heisenberg_translation
-from crchains.hermitian import GeometryError, random_form_preserving
+from crchains.hermitian import GeometryError, box, random_form_preserving
 
 RNG = np.random.default_rng(20240819)
 
@@ -411,6 +412,112 @@ class TestMobiusSample:
         val, witness = min_collinearity(lifts)
         assert val < 1e-12
         assert set(witness) == {0, 1, 2}
+
+
+def _blockwise_mobius_margin(polars, block=512):
+    """mobius_sample's margin as it was: all pairs of chart images, in blocks."""
+    from crchains.hermitian import _CAYLEY
+
+    ball = polars @ _CAYLEY.T
+    denom = np.where(np.abs(ball[:, 2]) > 1e-200, ball[:, 2], 1e-200)
+    rep = ball[:, :2] / denom[:, None]
+    m = rep.shape[0]
+    margin = math.inf
+    for lo in range(0, m, block):
+        hi = min(lo + block, m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = np.linalg.norm(rep[lo:hi, None, :] - rep[None, :, :], axis=2)
+        d = np.where(np.isnan(d), math.inf, d)
+        for r in range(hi - lo):
+            d[r, lo + r] = math.inf
+        margin = min(margin, float(np.min(d)))
+    return margin
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [
+        lambda: bent_curve(3 * math.pi / 4, n=60),
+        lambda: bent_curve(math.pi / 2, n=41, r_range=(0.05, 20.0)),
+        lambda: spiral_curve(0.3, n=58),
+        lambda: RCircle.standard().sample(40),
+    ],
+)
+def test_mobius_margin_matches_blockwise_reference(curve):
+    """The k-d tree closest pair is the all-pairs minimum, to a few ulps."""
+    from crchains.boundary import lifts
+    from crchains.hermitian import HVector, _H_SIEGEL_INV, _box, point_type
+
+    sample = curve()
+    v = lifts(sample.points)
+    i, j = np.triu_indices(len(v), k=1)
+    polars = _box(v[i], v[j], _H_SIEGEL_INV)
+    images, margin = mobius_sample(sample)
+    for img, w in zip(images, polars, strict=True):
+        ref = point_type(HVector(w))
+        assert img.representative.entries.tobytes() == w.tobytes()
+        assert img.point_type is ref.point_type and img.type_margin == ref.type_margin
+    ref_margin = _blockwise_mobius_margin(polars)
+    assert 0 < margin < math.inf
+    assert abs(margin - ref_margin) <= 4 * math.ulp(ref_margin)
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [lambda: bent_curve(3 * math.pi / 4, n=140), lambda: spiral_curve(0.3, n=100)],
+)
+def test_dense_hyperconvex_samples_accepted(curve):
+    """Close sample points have a tiny triple determinant; scaled by their
+    separations it stays far from zero, so dense samples pass."""
+    images, margin = mobius_sample(curve())
+    assert margin > 0
+
+
+def test_mobius_sample_memory_is_linear_in_pairs():
+    """200 points, 19900 images: no all-pairs distance blocks in memory."""
+    import tracemalloc
+
+    curve = bent_curve(3 * math.pi / 4, n=200)
+    tracemalloc.start()
+    try:
+        mobius_sample(curve)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+
+
+def _reference_leaf_rcircle(p):
+    """foliation_leaf_rcircle as it was: the R-circle test maps p through
+    the standard frame."""
+    if RCircle.standard().contains(p):
+        raise GeometryError("point lies on the R-circle")
+    v = p.lift
+    m = box(v, v.conjugated())
+    entries = m.entries / m.entries[int(np.argmax(np.abs(m.entries)))]
+    a, b = _real_null_points_on_polar(np.real(entries))
+    arc = Arc(a, b)
+    t, _ = arc.param_of(p)
+    return arc if t > 0 else arc.opposite()
+
+
+def test_rcircle_leaf_matches_frame_reference():
+    rng = np.random.default_rng(5)
+    points = [
+        BoundaryPoint(complex(*rng.normal(scale=1.5, size=2)), float(rng.normal(scale=2.0)))
+        for _ in range(300)
+    ]
+    # off the R-circle by one coordinate only
+    points += [BoundaryPoint(2.0, 0.5), BoundaryPoint(2.0 + 0.5j, 0.0)]
+    for p in points:
+        assert foliation_leaf_rcircle(p) == _reference_leaf_rcircle(p)
+    on_circle = [INFINITY, BoundaryPoint(0.0, 0.0), BoundaryPoint(-2.5, 0.0)]
+    on_circle += [BoundaryPoint(3.0 + 1e-9j, -1e-9), RCircle.standard().sample(6).points[2]]
+    for p in on_circle:
+        with pytest.raises(GeometryError, match="on the R-circle"):
+            foliation_leaf_rcircle(p)
+        with pytest.raises(GeometryError, match="on the R-circle"):
+            _reference_leaf_rcircle(p)
 
 
 class TestFlowPoint:

@@ -32,7 +32,13 @@ from crchains.groups import (
     heisenberg_translation,
     triangle_group,
 )
-from crchains.hermitian import GeometryError, box, random_form_preserving
+from crchains.hermitian import (
+    ElementClass,
+    GeometryError,
+    Model,
+    box,
+    random_form_preserving,
+)
 
 RNG = np.random.default_rng(20240820)
 
@@ -70,6 +76,22 @@ class TestAxisAtInfinity:
     def test_parabolic_rejected(self):
         with pytest.raises(GeometryError):
             axis_at_infinity(heisenberg_translation(1.0, 0.0))
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_axis_matches_classification_fixed_points(model):
+    """The stacked axis rule reads the fixed points `classify` reports."""
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        g = random_form_preserving(rng, model)
+        try:
+            cls = g.classification
+        except GeometryError:
+            continue
+        if cls.kind is not ElementClass.LOXODROMIC:
+            continue
+        att, rep = (BoundaryPoint.from_lift(fp.representative, tol=1e-4) for fp in cls.fixed_points)
+        assert axis_at_infinity(g) == Arc(rep, att)
 
 
 class TestBuildCrown:

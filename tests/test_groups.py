@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crchains.boundary import BoundaryPoint, INFINITY, normalizer_to_standard
 from crchains.circles import Arc, ArcRelation, arcs_intersect
 from crchains.crowns import (
+    Crown,
     EmbeddednessReport,
     axis_at_infinity,
     build_crown,
@@ -315,6 +318,119 @@ def test_dedup_matches_pairwise_reference(phase):
         for n, t_range in ((64, (1e-2, 1e2)), (9, (1e-3, 1e3))):
             ref = _per_point_sample(arc, n, t_range)
             assert _point_bits(arc.sample(n, t_range)) == _point_bits(ref)
+
+
+def test_limit_set_counters_add_up():
+    """Every loxodromic word gives two fixed points: kept, duplicate or rejected."""
+    ls = limit_set(triangle_group(TriangleParams(3, 3, 4, math.pi)), 10)
+    assert ls.n_words == 403 and len(ls.points) == 236
+    n_lox = ls.n_words - ls.n_skipped
+    assert 0 < n_lox < ls.n_words
+    assert 2 * n_lox == len(ls.points) + ls.n_duplicates + ls.n_rejected
+
+
+def test_crown_takes_arcs_and_limit_set_from_one_enumeration(monkeypatch):
+    from crchains import crowns
+
+    rep = triangle_group(TriangleParams(3, 3, 4, 3.9))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return enumerate_words(*args, **kwargs)
+
+    monkeypatch.setattr(crowns, "enumerate_words", counted)
+    crown = build_crown(rep, "3212", 4, limit_length=6)
+    assert calls == [6]
+    # the arcs come from the length-4 prefix of the length-6 list
+    assert list(crown.arcs) == _pairwise_crown_arcs(rep, "3212", enumerate_words(rep, 4))
+    assert crown.limit_sample.points == limit_set(rep, 6).points
+
+
+def _sequential_keep(batches, tol):
+    """_Dedup as it was: one candidate at a time against a growing key array."""
+    keys, out = [], []
+    for batch in batches:
+        for variants in batch:
+            kept = np.array(keys, dtype=variants.dtype).reshape(-1, variants.shape[1])
+            if (np.linalg.norm(kept - variants[:, None, :], axis=-1) < tol).any():
+                out.append(False)
+                continue
+            keys.append(variants[0])
+            out.append(True)
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 60),
+    n_var=st.integers(1, 3),
+    d=st.integers(1, 5),
+    cuts=st.lists(st.integers(0, 60), max_size=3),
+    complex_keys=st.booleans(),
+)
+def test_batched_dedup_matches_sequential(seed, n, n_var, d, cuts, complex_keys):
+    """Planted near-duplicates, inside a batch and across batches, are kept
+    or dropped exactly as the one-at-a-time loop keeps or drops them."""
+    from crchains.groups import _Dedup
+
+    tol = 1e-3
+    rng = np.random.default_rng(seed)
+    dtype = complex if complex_keys else float
+    cand = np.empty((n, n_var, d), dtype)
+    for k in range(n):
+        if k and rng.random() < 0.6:
+            # a copy of an earlier variant moved by a fraction of tol,
+            # on both sides of tol and of the 2 tol prefilter radius
+            src = cand[rng.integers(k), rng.integers(n_var)]
+            step = rng.normal(size=d) + (1j * rng.normal(size=d) if complex_keys else 0)
+            dist = tol * rng.choice([0.0, 0.3, 0.9, 1.1, 1.9, 2.1])
+            cand[k] = src + dist * step / np.linalg.norm(step)
+        else:
+            cand[k] = rng.normal(size=(n_var, d)) * 3 * tol
+            if complex_keys:
+                cand[k] += 1j * rng.normal(size=(n_var, d)) * 3 * tol
+    bounds = [0, *sorted(c % (n + 1) for c in cuts), n]
+    batches = [cand[a:b] for a, b in zip(bounds, bounds[1:])]
+    dedup = _Dedup(tol)
+    got = [bool(k) for batch in batches for k in dedup.keep(batch)]
+    assert got == _sequential_keep(batches, tol)
+
+
+def _with_arcs(crown, extra):
+    return Crown(
+        crown.rep, crown.core_word, crown.arcs + tuple(extra), crown.limit_sample, crown.word_length
+    )
+
+
+def test_embeddedness_screen_matches_per_pair_reference():
+    """The batched pair screen reports what the loop over all pairs reported,
+    with crossing arcs and arcs on an existing support added."""
+    crown = build_crown(triangle_group(TriangleParams(3, 3, 4)), "3212", 4, limit_length=4)
+    core = crown.arcs[0][1]
+    mid = core.point(1.0)
+    chord = Arc(BoundaryPoint(mid.z, mid.t - 1.0), BoundaryPoint(mid.z, mid.t + 1.0))
+    crossing = next(c for c in (chord, chord.opposite()) if arcs_intersect(c, core).kind is ArcRelation.CROSS)
+    _, arc = crown.arcs[5]
+    n = len(crown.arcs)
+    cases = {
+        "crown": ([], "EMBEDDED"),
+        "crossing fixture": ([("fixture", crossing)], "CROSSING"),
+        "equal arc": ([("copy", Arc(arc.start, arc.end))], "EMBEDDED"),
+        "opposite arc": ([("opposite", arc.opposite())], "CROSSING"),
+        "sub-arc": ([("sub", Arc(arc.point(0.5), arc.point(2.0)))], "CROSSING"),
+    }
+    for name, (extra, status) in cases.items():
+        bad = _with_arcs(crown, extra)
+        report, ref = embeddedness(bad), _per_pair_embeddedness(bad)
+        assert report.status == ref.status == status, name
+        assert report == ref, name  # margin, witness and witness point too
+        assert report.pairs_exact > 0 or name == "crown", name
+        if status == "EMBEDDED":
+            total = report.pairs_screened + report.pairs_exact
+            assert total == len(bad.arcs) * (len(bad.arcs) - 1) // 2, name
+    assert embeddedness(crown).pairs_screened == n * (n - 1) // 2
 
 
 class TestLimitSet:

@@ -281,3 +281,77 @@ def test_kernel_matches_scalar_reference(model):
         assert _bits(abs(_null_margin(a[k], j))) == _bits(abs(margin[k])) == _bits(ref_margin)
         kinds.add(kind)
     assert kinds == set(PointType)
+
+
+def _reference_classify(g, tol_lox=1e-7):
+    """classify as it was: one eig per element, identity by np.allclose."""
+    if np.allclose(g.matrix, np.eye(3), rtol=0.0, atol=1e-12):
+        return ElementClass.IDENTITY, None, None
+    vals, vecs = np.linalg.eig(g.matrix)
+    moduli = np.abs(vals)
+    i_max = int(np.argmax(moduli))
+    i_min = int(np.argmin(moduli))
+    r = moduli[i_max]
+    if r > 1.0 + tol_lox:
+        lam = vals[i_max]
+        omega = cmath.exp(2j * math.pi / 3)
+        factor = next(
+            omega**k
+            for k in range(3)
+            if -math.pi / 3 < cmath.phase(lam * omega**k) <= math.pi / 3 + 1e-15
+        )
+        rot = 3.0 * cmath.phase(lam * factor)
+        if rot > math.pi:
+            rot -= 2.0 * math.pi
+        return ElementClass.LOXODROMIC, rot, (vecs[:, i_max], vecs[:, i_min])
+    if r > 1.0 + 0.1 * tol_lox:
+        return None, None, None  # indeterminate
+    gaps = [abs(vals[i] - vals[j]) for i in range(3) for j in range(i + 1, 3)]
+    if min(gaps) > 1e-8 or np.linalg.cond(vecs) < 1e6:
+        return ElementClass.ELLIPTIC, None, None
+    return ElementClass.PARABOLIC, None, None
+
+
+def test_stacked_classifier_matches_per_element_reference():
+    """One eig over a stack classifies as the per-element body did, bit for bit."""
+    from crchains.groups import diagonal_loxodromic, heisenberg_translation, screw_parabolic
+    from crchains.hermitian import _classify_rows
+
+    rng = np.random.default_rng(7)
+    psi = 0.7
+    elements = [random_form_preserving(rng) for _ in range(200)] + [
+        GroupElement(np.eye(3)),
+        heisenberg_translation(0.4 - 1.1j, 0.3),
+        screw_parabolic(0.7, 1.0),
+        GroupElement(np.diag(np.exp([1j * psi, -2j * psi, 1j * psi]))),
+        GroupElement(np.diag([1.0, cmath.exp(1j), 1.0])),
+        diagonal_loxodromic(1.0, 5e-8),  # leading modulus inside the band
+        # distinct unit eigenvalues 1e-5 apart, eigenvectors nearly parallel:
+        # elliptic by the eigenvalue gaps alone
+        GroupElement(np.array([[1, 1e4, 0], [0, cmath.exp(1e-5j), 0], [0, 0, cmath.exp(-1e-5j)]])),
+        diagonal_loxodromic(1.0 + 0.3j, 0.8),
+    ]
+    refs = [_reference_classify(g) for g in elements]
+    kinds = {ref[0] for ref in refs}
+    assert kinds == {None, *ElementClass}, kinds  # every rule is exercised
+
+    stacked, _, attracting, repelling, _ = _classify_rows(
+        np.array([g.matrix for g in elements])
+    )
+    for k, (g, (kind, rot, fixed)) in enumerate(zip(elements, refs)):
+        assert stacked[k] is kind
+        if kind is None:
+            with pytest.raises(IndeterminateClassError):
+                classify(g)
+            continue
+        cls = classify(g)
+        assert cls.kind is kind
+        assert cls.rotation_factor == rot
+        if kind is ElementClass.LOXODROMIC:
+            att, rep = cls.fixed_points
+            assert att.representative.entries.tobytes() == fixed[0].tobytes()
+            assert rep.representative.entries.tobytes() == fixed[1].tobytes()
+            assert attracting[k].tobytes() == fixed[0].tobytes()
+            assert repelling[k].tobytes() == fixed[1].tobytes()
+        else:
+            assert cls.fixed_points is None
