@@ -130,6 +130,13 @@ def points_from_lifts(e: np.ndarray, tol: float = 1e-6) -> list[BoundaryPoint]:
         raise GeometryError(
             f"lift is not null (relative residual {residual[bad[0]]:.2e})"
         )
+    return points_of_rows(at_inf, z, t)
+
+
+def points_of_rows(
+    at_inf: np.ndarray, z: np.ndarray, t: np.ndarray
+) -> list[BoundaryPoint]:
+    """Boundary points from the infinity mask and coordinates of `point_rows`."""
     return [
         INFINITY if inf else BoundaryPoint(zz, tt)
         for inf, zz, tt in zip(at_inf.tolist(), z.tolist(), t.tolist())

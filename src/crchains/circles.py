@@ -46,6 +46,7 @@ from .hermitian import (
     _cross3,
     _null_margin,
     box,
+    cayley,
     herm_inner,
     point_type,
 )
@@ -108,20 +109,49 @@ class CircleIntersection:
     point: BoundaryPoint | None = None
 
 
+def circle_relations(
+    p: np.ndarray, q: np.ndarray, tol_null: float = TOL_NULL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`ccircles_intersect` on rows of (N, 3) Siegel polars p and q.
+
+    Returns the CircleRelation of each row pair, the signed null margin of
+    the box product of the two polars and the box product itself, whose
+    class is the meeting point of MEET rows.  Polars proportional as in
+    `CCircle.same_as` are EQUAL.
+    """
+    cross = np.linalg.norm(_cross3(p, q), axis=-1)
+    same = cross < 1e-9 * (np.linalg.norm(p, axis=-1) * np.linalg.norm(q, axis=-1))
+    boxed = _box(p, q, _H_SIEGEL_INV)
+    with np.errstate(invalid="ignore"):  # proportional polars box to zero: NaN
+        margin = _null_margin(boxed, _H_SIEGEL)
+    meet = np.abs(margin) < tol_null
+    kind = np.where(
+        same,
+        CircleRelation.EQUAL,
+        np.where(meet, CircleRelation.MEET, CircleRelation.DISJOINT),
+    )
+    return kind, margin, boxed
+
+
 def ccircles_intersect(
     c1: CCircle, c2: CCircle, tol_null: float = TOL_NULL
 ) -> CircleIntersection:
-    """Intersection test via the box product of the polar points."""
-    if c1.same_as(c2):
-        return CircleIntersection(CircleRelation.EQUAL)
-    # not None: box rejects only polars that same_as has already matched
-    n = box(c1.polar.representative, c2.polar.representative)
-    margin = float(_null_margin(n.entries, n.model.matrix))
-    if abs(margin) < tol_null:
-        return CircleIntersection(
-            CircleRelation.MEET, margin, BoundaryPoint.from_lift(n, tol=TOL_LIFT)
-        )
-    return CircleIntersection(CircleRelation.DISJOINT, margin)
+    """Intersection test via the box product of the polar points.
+
+    The one-row case of `circle_relations`.
+    """
+    kind, margin, boxed = circle_relations(
+        cayley(c1.polar.representative, Model.SIEGEL).entries[None],
+        cayley(c2.polar.representative, Model.SIEGEL).entries[None],
+        tol_null,
+    )
+    kind, margin = kind[0], float(margin[0])
+    if kind is CircleRelation.EQUAL:
+        return CircleIntersection(kind)
+    if kind is CircleRelation.MEET:
+        point = BoundaryPoint.from_lift(HVector(boxed[0]), tol=TOL_LIFT)
+        return CircleIntersection(kind, margin, point)
+    return CircleIntersection(kind, margin)
 
 
 @dataclass(frozen=True)
@@ -561,11 +591,13 @@ def mobius_sample(
     Raises on a hyperconvexity violation, naming a witness triple.  The
     test divides each triple determinant by the product of the pairwise
     separations of the unit lifts: the determinant of three close points
-    shrinks like the cube of their spacing, the ratio does not.
+    shrinks like the cube of their spacing, the ratio does not.  The
+    separation |u x w| is the sine of the angle between the two complex
+    lines, so it does not depend on the phase of either lift.
     """
     v = lifts(sample.points)
     unit = v / np.linalg.norm(v, axis=1)[:, None]
-    sep = np.linalg.norm(unit[:, None, :] - unit[None, :, :], axis=-1)
+    sep = np.linalg.norm(_cross3(unit[:, None, :], unit[None, :, :]), axis=-1)
 
     def block(j):
         scale = sep[:j, j, None] * sep[None, j, j + 1 :] * sep[:j, j + 1 :]

@@ -21,8 +21,10 @@ from .boundary import BoundaryPoint, ball_rows, lifts, points_from_lifts
 from .circles import (
     Arc,
     ArcRelation,
+    CircleRelation,
     CurveSample,
     arcs_intersect,
+    circle_relations,
     spiral_point,
 )
 from .groups import (
@@ -39,15 +41,12 @@ from .hermitian import (
     IndeterminateClassError,
     Model,
     TOL_LIFT,
-    TOL_NULL,
     _CAYLEY_INV,
     _H_SIEGEL,
     _H_SIEGEL_INV,
     _box,
     _classify_rows,
-    _cross3,
     _herm,
-    _null_margin,
     _unit_det,
 )
 
@@ -144,30 +143,21 @@ class EmbeddednessReport:
 def embeddedness(crown: Crown) -> EmbeddednessReport:
     """All-pairs crossing test over the crown arcs.
 
-    One kernel call boxes the support polars of every pair.  A pair whose
-    supports are not the same circle and whose polar box is clear of the
-    null cone has disjoint supports, with the margin `ccircles_intersect`
-    gives it.  The other pairs go to `arcs_intersect` in (i, j) order, so
-    the first crossing found is the one a loop over all pairs finds.
+    One `circle_relations` call relates the supports of every pair.  A
+    pair with disjoint supports is settled there, with the margin
+    `arcs_intersect` gives it.  The other pairs go to `arcs_intersect` in
+    (i, j) order, so the first crossing found is the one a loop over all
+    pairs finds.
     """
     arcs = crown.arcs
     n = len(arcs)
-    polars = _box(
-        lifts([arc.start for _, arc in arcs]),
-        lifts([arc.end for _, arc in arcs]),
-        _H_SIEGEL_INV,
-    )
+    polars = np.array(
+        [arc.support.polar.representative.entries for _, arc in arcs]
+    ).reshape(-1, 3)
     i, j = np.triu_indices(n, k=1)
-    boxed = _box(polars[i], polars[j], _H_SIEGEL_INV)
-    with np.errstate(invalid="ignore"):  # equal supports box to zero: NaN
-        margin = np.abs(_null_margin(boxed, _H_SIEGEL))
-    # CCircle.same_as compares this ratio with 1e-9; a pair near that line
-    # goes to the exact test, whose verdict decides
-    size = np.linalg.norm(polars, axis=-1)
-    cross = np.linalg.norm(_cross3(polars[i], polars[j]), axis=-1)
-    ratio = cross / (size[i] * size[j])
-    screened = (ratio > 2e-9) & (margin >= TOL_NULL)
-    min_margin = float(np.min(margin[screened], initial=math.inf))
+    kind, margin, _ = circle_relations(polars[i], polars[j])
+    screened = kind == CircleRelation.DISJOINT
+    min_margin = float(np.min(np.abs(margin[screened]), initial=math.inf))
     n_screened = int(screened.sum())
     exact = np.flatnonzero(~screened)
     for tested, k in enumerate(exact.tolist(), start=1):

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
-from .boundary import BoundaryPoint, ball_rows, point_rows, points_from_lifts
+from .boundary import BoundaryPoint, ball_rows, point_rows, points_of_rows
 from .hermitian import (
     ElementClass,
     GeometryError,
@@ -346,8 +346,9 @@ def _limit_sample(
     lox = kinds == ElementClass.LOXODROMIC
     # attracting, then repelling fixed point of each word, in word order
     fixed = np.stack([attracting[lox], repelling[lox]], axis=1).reshape(-1, 3)
-    null = ~(point_rows(fixed)[0] > TOL_LIFT)  # the others are rejected
-    pts = points_from_lifts(fixed[null], TOL_LIFT)
+    residual, at_inf, z, t = point_rows(fixed)
+    null = ~(residual > TOL_LIFT)  # the others are rejected
+    pts = points_of_rows(at_inf[null], z[null], t[null])
     keep = _Dedup(eps).keep(ball_rows(pts).view(float)[:, None, :])
     pts = [p for p, k in zip(pts, keep.tolist()) if k]
     if not pts:

@@ -252,11 +252,11 @@ class GroupElement:
         object.__setattr__(self, "matrix", _unit_det(m))
 
     @classmethod
-    def _unit(cls, m: np.ndarray, model: Model = Model.SIEGEL) -> "GroupElement":
-        """Wrap a matrix that `_unit_det` has already normalized."""
+    def _unit(cls, m: np.ndarray) -> "GroupElement":
+        """Wrap a Siegel-model matrix that `_unit_det` has already normalized."""
         g = object.__new__(cls)
         object.__setattr__(g, "matrix", m)
-        object.__setattr__(g, "model", model)
+        object.__setattr__(g, "model", Model.SIEGEL)
         return g
 
     def form_residual(self) -> float:

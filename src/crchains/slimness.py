@@ -29,9 +29,6 @@ from .hermitian import GeometryError
 
 MAX_SCAN_POINTS = 400
 
-# The LimitSetSample counters every sweep row carries; None on a failed row.
-COUNTERS = ("n_words", "n_skipped", "n_rejected", "n_duplicates")
-
 
 @dataclass(frozen=True)
 class SlimnessReport:
@@ -157,7 +154,11 @@ class SweepRow:
     sup_estimate: float
     argmax: tuple[BoundaryPoint, BoundaryPoint, BoundaryPoint]
     error: str | None = None
-    counters: tuple[int, ...] | None = None  # LimitSetSample's, in COUNTERS order
+    # the LimitSetSample counters; None on a failed row
+    n_words: int | None = None
+    n_skipped: int | None = None
+    n_rejected: int | None = None
+    n_duplicates: int | None = None
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,10 @@ class SweepResult:
                     None if r.error is not None else [str(p) for p in r.argmax]
                 ),
                 "error": r.error,
-                **dict(zip(COUNTERS, r.counters or (None,) * len(COUNTERS))),
+                "n_words": r.n_words,
+                "n_skipped": r.n_skipped,
+                "n_rejected": r.n_rejected,
+                "n_duplicates": r.n_duplicates,
             }
             for r in self.rows
         ]
@@ -253,7 +257,10 @@ def sweep(
                     len(ls.points),
                     rep_report.sup_estimate,
                     rep_report.argmax_triple,
-                    counters=tuple(getattr(ls, name) for name in COUNTERS),
+                    n_words=ls.n_words,
+                    n_skipped=ls.n_skipped,
+                    n_rejected=ls.n_rejected,
+                    n_duplicates=ls.n_duplicates,
                 )
             )
         except GeometryError as exc:

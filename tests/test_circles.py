@@ -21,6 +21,7 @@ from crchains.circles import (
     bent_leaf,
     ccircle_through,
     ccircles_intersect,
+    circle_relations,
     flow_point,
     foliation_leaf_rcircle,
     min_collinearity,
@@ -96,6 +97,26 @@ class TestCirclesIntersect:
         c1 = ccircle_through(BoundaryPoint(0, 0), INFINITY)
         c2 = ccircle_through(BoundaryPoint(0, 1), BoundaryPoint(0, -3))
         assert ccircles_intersect(c1, c2).kind is CircleRelation.EQUAL
+
+    def test_rows_relate_as_pairs(self):
+        """circle_relations on a stack gives each pair what
+        ccircles_intersect gives it alone: kind and margin bits."""
+        pts = [rand_point() for _ in range(40)] + [BoundaryPoint(0, 0), INFINITY]
+        circles = [ccircle_through(a, b) for a, b in zip(pts, pts[1:])]
+        # an equal circle and circles meeting at a sample point
+        circles += [ccircle_through(BoundaryPoint(0, 1), BoundaryPoint(0, -3))]
+        circles += [ccircle_through(pts[0], rand_point()) for _ in range(5)]
+        polars = np.array([c.polar.representative.entries for c in circles])
+        i, j = np.triu_indices(len(circles), k=1)
+        kind, margin, _ = circle_relations(polars[i], polars[j])
+        seen = set()
+        for k in range(len(i)):
+            res = ccircles_intersect(circles[i[k]], circles[j[k]])
+            assert res.kind is kind[k]
+            seen.add(res.kind)
+            if res.kind is not CircleRelation.EQUAL:
+                assert res.margin == margin[k]
+        assert seen == set(CircleRelation)
 
 
 class TestArc:
@@ -464,11 +485,18 @@ def test_mobius_margin_matches_blockwise_reference(curve):
 
 @pytest.mark.parametrize(
     "curve",
-    [lambda: bent_curve(3 * math.pi / 4, n=140), lambda: spiral_curve(0.3, n=100)],
+    [
+        lambda: bent_curve(3 * math.pi / 4, n=140),
+        lambda: spiral_curve(0.3, n=100),
+        lambda: bent_curve(3 * math.pi / 4, n=140, r_range=(1e-6, 1e6)),
+        lambda: spiral_curve(0.3, s_range=(-12.0, 12.0), n=100),
+    ],
 )
 def test_dense_hyperconvex_samples_accepted(curve):
     """Close sample points have a tiny triple determinant; scaled by their
-    separations it stays far from zero, so dense samples pass."""
+    separations it stays far from zero, so dense samples pass.  The wide
+    ranges put sample points near infinity, whose lifts differ in phase
+    from the standard lift of infinity."""
     images, margin = mobius_sample(curve())
     assert margin > 0
 
