@@ -58,12 +58,12 @@ class BoundaryPoint:
 
     def ball_coords(self) -> np.ndarray:
         """Affine ball-model coordinates (z1, z2) on the unit sphere of C^2."""
-        v = cayley(self.lift, Model.BALL).entries
-        return v[:2] / v[2]
+        return ball_rows((self,))[0]
 
     def chordal(self, other: "BoundaryPoint") -> float:
         """Euclidean distance between ball-model coordinates; bounded by 2."""
-        return float(np.linalg.norm(self.ball_coords() - other.ball_coords()))
+        b = ball_rows((self, other))
+        return float(np.linalg.norm(b[0] - b[1]))
 
     def close_to(self, other: "BoundaryPoint", eps: float = 1e-8) -> bool:
         return self.chordal(other) < eps
@@ -107,36 +107,24 @@ def ball_rows(points) -> np.ndarray:
     return b[:, :2] / b[:, 2:]
 
 
-def point_rows(e: np.ndarray):
-    """The rules of `BoundaryPoint.from_lift` on (N, 3) Siegel lifts.
+def points_from_lifts(e: np.ndarray, tol: float = 1e-6) -> list[BoundaryPoint]:
+    """`BoundaryPoint.from_lift` on every row of an (N, 3) array of Siegel lifts.
 
-    Returns (residual, at_inf, z, t): the relative null residual, which the
-    caller holds against its tolerance, the rows read as infinity, and the
-    Heisenberg coordinates of the other rows.  t is read off the imaginary
-    part, so a small residual only perturbs, never breaks, the inversion.
+    Raises unless every row is null to within tol (relative residual).  A
+    row is infinity when its last entry is negligible; otherwise t is read
+    off the imaginary part, so a small residual only perturbs, never
+    breaks, the inversion.
     """
     residual = np.abs(_null_margin(e, _H_SIEGEL))
-    norm2 = (np.conj(e)[:, None, :] @ e[:, :, None]).real[:, 0, 0]
-    at_inf = np.abs(e[:, 2]) <= 1e-9 * np.sqrt(norm2)
-    den = np.where(at_inf, 1.0, e[:, 2])
-    return residual, at_inf, e[:, 1] / den, (e[:, 0] / den).imag
-
-
-def points_from_lifts(e: np.ndarray, tol: float = 1e-6) -> list[BoundaryPoint]:
-    """`BoundaryPoint.from_lift` on every row of an (N, 3) array of lifts."""
-    residual, at_inf, z, t = point_rows(e)
     bad = np.flatnonzero(residual > tol)
     if bad.size:
         raise GeometryError(
             f"lift is not null (relative residual {residual[bad[0]]:.2e})"
         )
-    return points_of_rows(at_inf, z, t)
-
-
-def points_of_rows(
-    at_inf: np.ndarray, z: np.ndarray, t: np.ndarray
-) -> list[BoundaryPoint]:
-    """Boundary points from the infinity mask and coordinates of `point_rows`."""
+    norm2 = (np.conj(e)[:, None, :] @ e[:, :, None]).real[:, 0, 0]
+    at_inf = np.abs(e[:, 2]) <= 1e-9 * np.sqrt(norm2)
+    den = np.where(at_inf, 1.0, e[:, 2])
+    z, t = e[:, 1] / den, (e[:, 0] / den).imag
     return [
         INFINITY if inf else BoundaryPoint(zz, tt)
         for inf, zz, tt in zip(at_inf.tolist(), z.tolist(), t.tolist())
@@ -157,14 +145,13 @@ class CartanValue:
 def cartan(p: BoundaryPoint, q: BoundaryPoint, r: BoundaryPoint) -> CartanValue:
     """Angular invariant arg(-<p,q><q,r><r,p>) of a boundary triple.
 
-    Zero with the degenerate flag when two of the points coincide.
+    Zero with the degenerate flag when two of the points coincide.  The
+    one-triple case of the Gram rule `cartan_lifts`.
     """
-    a, b, c = p.lift, q.lift, r.lift
-    prod = -herm_inner(a, b) * herm_inner(b, c) * herm_inner(c, a)
-    scale = 1.0
-    for v in (a, b, c):
-        scale *= float(np.vdot(v.entries, v.entries).real)
-    if abs(prod) < 1e-12 * scale:
+    v = lifts((p, q, r))
+    h = cartan_lifts(v)
+    prod = complex(-h[0, 1] * h[1, 2] * h[2, 0])
+    if abs(prod) < 1e-12 * float(np.prod((np.conj(v) * v).real.sum(axis=1))):
         return CartanValue(0.0, degenerate=True)
     return CartanValue(cmath.phase(prod))
 

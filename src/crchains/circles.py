@@ -23,6 +23,7 @@ from scipy.spatial import cKDTree
 from .boundary import (
     INFINITY,
     BoundaryPoint,
+    ball_rows,
     best_triple,
     lifts,
     normalizer_to_standard,
@@ -44,7 +45,9 @@ from .hermitian import (
     _H_SIEGEL_INV,
     _box,
     _cross3,
+    _herm,
     _null_margin,
+    _proportional,
     box,
     cayley,
     herm_inner,
@@ -119,8 +122,7 @@ def circle_relations(
     class is the meeting point of MEET rows.  Polars proportional as in
     `CCircle.same_as` are EQUAL.
     """
-    cross = np.linalg.norm(_cross3(p, q), axis=-1)
-    same = cross < 1e-9 * (np.linalg.norm(p, axis=-1) * np.linalg.norm(q, axis=-1))
+    same = _proportional(p, q)
     boxed = _box(p, q, _H_SIEGEL_INV)
     with np.errstate(invalid="ignore"):  # proportional polars box to zero: NaN
         margin = _null_margin(boxed, _H_SIEGEL)
@@ -192,23 +194,21 @@ class Arc:
     def param_of(self, p: BoundaryPoint) -> tuple[float, float]:
         """Chart parameter of p (infinite at the far endpoint) + residual.
 
-        The residual measures the distance of p from the supporting circle
-        (least-squares defect of expressing the lift in the endpoint span,
-        normalized).  The sign of the parameter selects the side: positive
-        parameters are on this arc.
+        On the circle the lift is v = c0 a + c1 b with a and b null, so
+        <v, a> = c1 <b, a> and <v, b> = c0 <a, b>: the chart parameter
+        Im(c1 <b, a> / c0) is Im(<v, a> <a, b> / <v, b>).  The residual
+        |det(a, b, v)| / (|a x b| |v|) is the distance of the lift from the
+        span of the endpoint lifts, normalized.  The sign of the parameter
+        selects the side: positive parameters are on this arc.
         """
-        a = self.start.lift.entries
-        b = self.end.lift.entries
-        v = p.lift.entries
-        basis = np.column_stack([a, b])
-        coef, res, _, _ = np.linalg.lstsq(basis, v, rcond=None)
-        fit = basis @ coef
-        residual = float(np.linalg.norm(v - fit) / np.linalg.norm(v))
-        if abs(coef[0]) < 1e-12 * abs(coef[1]):
+        e = lifts((self.start, self.end, p))
+        a, b, v = e
+        va, vb, ab = _herm(e[[2, 2, 0]], e[[0, 1, 1]], _H_SIEGEL).tolist()
+        n = _cross3(a, b)
+        residual = float(abs(n @ v) / (np.linalg.norm(n) * np.linalg.norm(v)))
+        if abs(vb) < 1e-12 * abs(va):
             return math.inf, residual
-        mu = coef[1] / coef[0]
-        t = (mu * herm_inner(self.end.lift, self.start.lift)).imag
-        return float(t), residual
+        return (va * ab / vb).imag, residual
 
     def contains(
         self, p: BoundaryPoint, tol: float = 1e-8, strict_eps: float = 1e-10
@@ -323,9 +323,9 @@ class CurveSample:
     source: str
 
     def __post_init__(self):
-        for a, b in zip(self.points, self.points[1:]):
-            if a.close_to(b, 1e-14):
-                raise GeometryError("consecutive sample points coincide")
+        b = ball_rows(self.points)
+        if (np.linalg.norm(b[1:] - b[:-1], axis=-1) < 1e-14).any():
+            raise GeometryError("consecutive sample points coincide")
 
     def to_json(self) -> str:
         return json.dumps(

@@ -73,48 +73,45 @@ def cmd_cartan(args) -> int:
     return EXIT_OK
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _read_config(path: str | None, **defaults) -> tuple[dict, dict]:
+    """The JSON config of `sweep` or `crown` and its settings, each read as
+    the type of its default; ValueError on a malformed file or setting."""
+    cfg = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                cfg = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ValueError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config {path} is not a JSON object")
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read config {path}: {exc}") from exc
-
-
-def _build_rep(cfg: dict):
-    p = int(cfg.get("p", 3))
-    q = int(cfg.get("q", 3))
-    r = int(cfg.get("r", 4))
-    if "target_tau" in cfg:
-        return triangle_group_at_tau(p, q, r, float(cfg["target_tau"]))
-    phase = float(cfg.get("phase", math.pi))
-    return triangle_group(TriangleParams(p, q, r, phase))
+        settings = {key: type(d)(cfg.get(key, d)) for key, d in defaults.items()}
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed setting in {path}: {exc}") from exc
+    if settings.get("gamma_word", "").strip("123"):
+        raise ValueError(f"gamma_word in {path} is not a word in the letters 1, 2, 3")
+    return cfg, settings
 
 
 def cmd_sweep(args) -> int:
     try:
-        cfg = _load_config(args.config)
-        p = int(cfg.get("p", 3))
-        q = int(cfg.get("q", 3))
-        r = int(cfg.get("r", 4))
-        phase_lo = float(cfg.get("phase_lo", math.pi))
-        phase_hi = float(cfg.get("phase_hi", 4.3))
-        n_phases = int(cfg.get("n_phases", 16))
-        word_length = int(cfg.get("word_length", 10))
-        dedup_eps = float(cfg.get("dedup_eps", 1e-3))
-        if n_phases < 1 or phase_hi <= phase_lo:
+        cfg, s = _read_config(
+            args.config, p=3, q=3, r=4, phase_lo=math.pi, phase_hi=4.3, n_phases=16,
+            word_length=10, dedup_eps=1e-3,
+        )
+        if s["n_phases"] < 1 or s["phase_hi"] <= s["phase_lo"]:
             raise ValueError("empty phase range")
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    n_phases = s["n_phases"]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
     json_path = out_dir / "sweep.json"
     metadata = _metadata(cfg)
-    phases = [float(phi) for phi in np.linspace(phase_lo, phase_hi, n_phases)]
+    phases = np.linspace(s["phase_lo"], s["phase_hi"], n_phases).tolist()
     # Finished rows are keyed by their index in `phases`; a file from
     # another config (or without indices) is never resumed over.
     done: dict[int, dict] = {}
@@ -135,7 +132,9 @@ def cmd_sweep(args) -> int:
         print(f"resume: {len(done)} phases already complete")
     todo = [k for k in range(n_phases) if k not in done]
     t0 = time.time()
-    result = sweep(p, q, r, [phases[k] for k in todo], word_length, dedup_eps)
+    todo_phases = [phases[k] for k in todo]
+    pqr = s["p"], s["q"], s["r"]
+    result = sweep(*pqr, todo_phases, s["word_length"], s["dedup_eps"])
     runtime = time.time() - t0
     index_of = {phases[k]: k for k in todo}
     rows = list(done.values())
@@ -160,15 +159,20 @@ def cmd_sweep(args) -> int:
 
 def cmd_crown(args) -> int:
     try:
-        cfg = _load_config(args.config)
+        cfg, s = _read_config(
+            args.config, p=3, q=3, r=4, phase=math.pi, target_tau=math.nan,
+            gamma_word="3212", word_length=6,
+        )
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        rep = _build_rep(cfg)
-        gamma_word = str(cfg.get("gamma_word", "3212"))
-        length = int(cfg.get("word_length", 6))
-        crown = build_crown(rep, gamma_word, length)
+        pqr = s["p"], s["q"], s["r"]
+        if "target_tau" in cfg:  # overrides the phase
+            rep = triangle_group_at_tau(*pqr, s["target_tau"])
+        else:
+            rep = triangle_group(TriangleParams(*pqr, s["phase"]))
+        crown = build_crown(rep, s["gamma_word"], s["word_length"])
     except GeometryError as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
-from .boundary import BoundaryPoint, ball_rows, point_rows, points_of_rows
+from .boundary import BoundaryPoint, ball_rows, points_from_lifts
 from .hermitian import (
     ElementClass,
     GeometryError,
@@ -28,7 +28,9 @@ from .hermitian import (
     PointType,
     ProjectivePoint,
     TOL_LIFT,
+    _H_SIEGEL,
     _classify_rows,
+    _null_margin,
     _unit_det,
     cayley,
     point_type,
@@ -85,11 +87,13 @@ class Representation:
     relator_report: tuple[RelatorCheck, ...]
     tau: complex
 
-    def word(self, letters: str | list[int]) -> GroupElement:
-        """Product of generators by 1-based indices, e.g. "3212"."""
-        idx = [int(c) - 1 for c in letters] if isinstance(letters, str) else letters
+    def word(self, letters: str) -> GroupElement:
+        """Product of the generators named by the letters 1, 2, 3, e.g. "3212"."""
         m = np.eye(3, dtype=complex)
-        for i in idx:
+        for c in letters:
+            i = "123".find(c)
+            if i < 0:
+                raise GeometryError(f"{letters!r} is not a word in the letters 1, 2, 3")
             m = m @ self.generators[i].matrix
         return GroupElement(m, Model.SIEGEL)
 
@@ -202,25 +206,16 @@ def _admissible_phase_bracket(
     reflection, so one half suffices.
     """
     phis = np.linspace(math.pi, 2 * math.pi, samples, endpoint=False)
-    good = []
-    for phi in phis:
-        vals = np.linalg.eigvalsh(np.conj(TriangleParams(p, q, r, float(phi)).gram()))
-        good.append(vals[0] < 0 < vals[1] and vals[2] > 0)
-    if not any(good):
+    grams = [TriangleParams(p, q, r, float(phi)).gram() for phi in phis]
+    vals = np.linalg.eigvalsh(np.conj(grams))
+    good = (vals[:, 0] < 0) & (0 < vals[:, 1]) & (vals[:, 2] > 0)
+    if not good.any():
         raise GeometryError("no admissible phase found")
-    # longest run of admissible phases
-    best_lo = best_hi = None
-    i = 0
-    while i < len(good):
-        if good[i]:
-            j = i
-            while j < len(good) and good[j]:
-                j += 1
-            if best_lo is None or j - i > best_hi - best_lo:
-                best_lo, best_hi = i, j
-            i = j
-        else:
-            i += 1
+    # longest run of admissible phases, the first one on a tie
+    step = np.diff(np.concatenate([[0], good.astype(np.int8), [0]]))
+    starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
+    k = int(np.argmax(ends - starts))
+    best_lo, best_hi = starts[k], ends[k]
     eps = (phis[1] - phis[0]) * 0.5
     return float(phis[best_lo]) + eps, float(phis[best_hi - 1]) - eps
 
@@ -346,9 +341,8 @@ def _limit_sample(
     lox = kinds == ElementClass.LOXODROMIC
     # attracting, then repelling fixed point of each word, in word order
     fixed = np.stack([attracting[lox], repelling[lox]], axis=1).reshape(-1, 3)
-    residual, at_inf, z, t = point_rows(fixed)
-    null = ~(residual > TOL_LIFT)  # the others are rejected
-    pts = points_of_rows(at_inf[null], z[null], t[null])
+    null = ~(np.abs(_null_margin(fixed, _H_SIEGEL)) > TOL_LIFT)  # others rejected
+    pts = points_from_lifts(fixed[null], TOL_LIFT)
     keep = _Dedup(eps).keep(ball_rows(pts).view(float)[:, None, :])
     pts = [p for p, k in zip(pts, keep.tolist()) if k]
     if not pts:

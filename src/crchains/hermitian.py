@@ -6,7 +6,8 @@ The inner product convention is ``<a, b> = b^dagger J a`` (linear in the
 first slot, antilinear in the second).  With the conjugate convention
 every angular invariant computed downstream flips sign.  The algebra is
 written once, as an array kernel on (..., 3) arrays with leading axes
-broadcast (`_herm`, `_box`, `_null_margin`); the scalar API wraps it.
+broadcast (`_herm`, `_box`, `_null_margin`, `_proportional`); the scalar
+API wraps it.
 """
 
 from __future__ import annotations
@@ -110,9 +111,8 @@ class HVector:
         return HVector(np.conj(self.entries), self.model)
 
     def proportional_to(self, other: "HVector", tol: float = 1e-9) -> bool:
-        c = _cross3(self.entries, other.entries)
-        scale = float(np.linalg.norm(self.entries) * np.linalg.norm(other.entries))
-        return float(np.linalg.norm(c)) < tol * scale
+        """The one-row case of `_proportional`."""
+        return bool(_proportional(self.entries, other.entries, tol))
 
 
 def _check_models(*vs: HVector) -> Model:
@@ -132,6 +132,12 @@ def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross product over the last axis; bit-identical to np.cross, faster."""
     # roll(a * roll(b) - roll(a) * b); take() is cheaper than a[..., _ROLL]
     return (a * b.take(_ROLL, -1) - a.take(_ROLL, -1) * b).take(_ROLL, -1)
+
+
+def _proportional(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Rows spanning one complex line: |a x b| < tol |a| |b|."""
+    norm = np.linalg.norm
+    return norm(_cross3(a, b), axis=-1) < tol * (norm(a, axis=-1) * norm(b, axis=-1))
 
 
 def _herm(a: np.ndarray, b: np.ndarray, j: np.ndarray) -> np.ndarray:

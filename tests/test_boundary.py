@@ -209,12 +209,21 @@ def _reference_from_lift(e, tol=1e-6):
     return BoundaryPoint(complex(e[1] / e[2]), float((e[0] / e[2]).imag))
 
 
+def _reference_ball_coords(p):
+    """BoundaryPoint.ball_coords as it was: the lift moved by `cayley`."""
+    from crchains.hermitian import cayley
+
+    v = cayley(p.lift, Model.BALL).entries
+    return v[:2] / v[2]
+
+
 def _bits(points):
     return np.array([[p.z.real, p.z.imag, p.t, p.at_infinity] for p in points]).tobytes()
 
 
 def test_array_rules_match_scalar_point_rules():
-    """lifts, ball_rows and points_from_lifts give the scalar rules' bits."""
+    """lifts, ball_rows, points_from_lifts and the scalar calls that are their
+    one-row cases give the bits of the old scalar rules."""
     from crchains.boundary import ball_rows, lifts, points_from_lifts
 
     rng = np.random.default_rng(11)
@@ -227,7 +236,12 @@ def test_array_rules_match_scalar_point_rules():
     ref = [(1, 0, 0) if p.at_infinity else (-abs(p.z) ** 2 + 1j * p.t, p.z, 1) for p in points]
     assert v.tobytes() == np.array(ref, dtype=complex).tobytes()
     assert v.tobytes() == np.array([p.lift.entries for p in points]).tobytes()
-    assert ball_rows(points).tobytes() == np.array([p.ball_coords() for p in points]).tobytes()
+    ball = np.array([_reference_ball_coords(p) for p in points])
+    assert ball_rows(points).tobytes() == ball.tobytes()
+    assert np.array([p.ball_coords() for p in points]).tobytes() == ball.tobytes()
+    chordal = [p.chordal(q) for p, q in zip(points, points[::-1])]
+    ref = [float(np.linalg.norm(b - c)) for b, c in zip(ball, ball[::-1])]
+    assert np.array(chordal).tobytes() == np.array(ref).tobytes()
 
     e = v * (rng.normal(size=(len(v), 1)) + 1j * rng.normal(size=(len(v), 1)))
     ref = [_reference_from_lift(row) for row in e]
@@ -237,3 +251,41 @@ def test_array_rules_match_scalar_point_rules():
     bad[5, 1] *= 2.0  # no longer null
     with pytest.raises(GeometryError, match="not null"):
         points_from_lifts(bad)
+
+
+def _reference_cartan(p, q, r):
+    """cartan as it was: three scalar pairings and a vdot scale."""
+    import cmath
+
+    a, b, c = p.lift, q.lift, r.lift
+    prod = -herm_inner(a, b) * herm_inner(b, c) * herm_inner(c, a)
+    scale = 1.0
+    for v in (a, b, c):
+        scale *= float(np.vdot(v.entries, v.entries).real)
+    if abs(prod) < 1e-12 * scale:
+        return 0.0, True
+    return cmath.phase(prod), False
+
+
+def test_cartan_matches_pairwise_reference():
+    """cartan, the one-triple case of cartan_lifts, agrees with the old body."""
+    rng = np.random.default_rng(12)
+    scale = 10.0 ** rng.uniform(-2, 2, size=(1200, 3, 1))
+    zt = rng.normal(size=(1200, 3, 3)) * scale
+    triples = [
+        [BoundaryPoint(complex(a, b), float(t)) for a, b, t in row] for row in zt
+    ]
+    pts = [t[0] for t in triples[:100]]
+    triples += [[p, p, q] for p, q in zip(pts, pts[1:])]
+    triples += [[p, q, p] for p, q in zip(pts, pts[1:])]
+    triples += [[INFINITY, p, q] for p, q in zip(pts, pts[1:])]
+    triples += [[p, INFINITY, INFINITY] for p in pts[:10]]
+    triples += [[BoundaryPoint(0, 0), BoundaryPoint(1, 1), INFINITY]]
+    flags = set()
+    for p, q, r in triples:
+        angle, degenerate = _reference_cartan(p, q, r)
+        val = cartan(p, q, r)
+        assert val.degenerate == degenerate
+        assert abs(val.angle - angle) <= 1e-14
+        flags.add(degenerate)
+    assert flags == {True, False}

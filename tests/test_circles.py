@@ -32,7 +32,7 @@ from crchains.circles import (
     _real_null_points_on_polar,
 )
 from crchains.groups import diagonal_loxodromic, heisenberg_translation
-from crchains.hermitian import GeometryError, box, random_form_preserving
+from crchains.hermitian import GeometryError, box, herm_inner, random_form_preserving
 
 RNG = np.random.default_rng(20240819)
 
@@ -546,6 +546,105 @@ def test_rcircle_leaf_matches_frame_reference():
             foliation_leaf_rcircle(p)
         with pytest.raises(GeometryError, match="on the R-circle"):
             _reference_leaf_rcircle(p)
+
+
+def _reference_param_of(arc, p):
+    """Arc.param_of as it was: least squares in the span of the endpoint lifts."""
+    a, b, v = arc.start.lift.entries, arc.end.lift.entries, p.lift.entries
+    basis = np.column_stack([a, b])
+    coef = np.linalg.lstsq(basis, v, rcond=None)[0]
+    residual = float(np.linalg.norm(v - basis @ coef) / np.linalg.norm(v))
+    if abs(coef[0]) < 1e-12 * abs(coef[1]):
+        return math.inf, residual
+    mu = coef[1] / coef[0]
+    return float((mu * herm_inner(arc.end.lift, arc.start.lift)).imag), residual
+
+
+def _reference_contains(arc, p, tol):
+    if p.close_to(arc.start, 1e-10) or p.close_to(arc.end, 1e-10):
+        return False
+    t, res = _reference_param_of(arc, p)
+    return res < tol and t > 0
+
+
+def test_param_of_matches_least_squares_reference():
+    """On arcs between ordinary points, the closed-form chart inverse gives
+    the old parameter, residual and `contains` verdicts: on both arcs of a
+    circle, at its endpoints, near it and off it."""
+    rng = np.random.default_rng(21)
+    n_on = 0
+    for _ in range(60):
+        arc = Arc(rand_point(), rand_point())
+        ts = np.geomspace(1e-3, 1e3, 13)
+        on = [arc.point(t) for t in ts]
+        on += [arc.opposite().point(t) for t in (0.01, 1.0, 100.0)]
+        off = [arc.start, arc.end, rand_point(), rand_point()]
+        for p in on[::3]:
+            for eps in (1e-9, 1e-7, 1e-5):
+                z, t = p.z + eps * complex(*rng.normal(size=2)), p.t + eps * rng.normal()
+                off.append(BoundaryPoint(z, t))
+        for t0, p in zip(ts, on):
+            t, res = arc.param_of(p)
+            t_ref, res_ref = _reference_param_of(arc, p)
+            # rounding the chart point to [z, t] costs both bodies up to
+            # about 1e-11 of t at the ends of the range
+            assert abs(t - t0) <= 1e-10 * t0 and abs(t_ref - t0) <= 1e-10 * t0
+            if 0.1 <= t0 <= 10:
+                assert abs(t - t_ref) <= 1e-12 * abs(t_ref)
+            assert abs(res - res_ref) <= 1e-14
+            n_on += 1
+        for p in on + off:
+            t, res = arc.param_of(p)
+            t_ref, res_ref = _reference_param_of(arc, p)
+            assert abs(res - res_ref) <= 1e-14
+            assert math.isinf(t) == math.isinf(t_ref)
+            for tol in (1e-8, 1e-6, 1e-4):
+                assert arc.contains(p, tol=tol) == _reference_contains(arc, p, tol)
+    assert n_on == 780
+
+
+@pytest.mark.parametrize("far", [1e6, 1e8, 1e9])
+def test_param_of_with_a_far_endpoint(far):
+    """Chart points of an arc whose endpoint lifts differ in norm by up to
+    1e18 read back on the arc.  The old least-squares body lost the short
+    lift below lstsq's default singular-value cutoff from far = 1e8 on and
+    read these points as off the circle (t = inf, residual 0.1 to 1)."""
+    arc = Arc(BoundaryPoint(2e-9 + 5e-9j, 3e-17), BoundaryPoint(far * (1j - 0.45), 2.7 * far**2))
+    for t0 in (0.1, 1.0, 10.0):
+        p = arc.point(t0)
+        t, res = arc.param_of(p)
+        assert abs(t - t0) <= 1e-12 * t0 and res < 1e-14
+        assert arc.contains(p)
+
+
+def test_leaves_match_least_squares_reference(monkeypatch):
+    """Both foliations pick the same leaves through the old chart inverse."""
+    rng = np.random.default_rng(22)
+    rpoints = [
+        BoundaryPoint(complex(*rng.normal(scale=1.5, size=2)), float(rng.normal(scale=2.0)))
+        for _ in range(300)
+    ]
+    bent = []
+    for _ in range(20):
+        theta = rng.uniform(math.pi / 2, 3 * math.pi / 2)
+        r, phi = rng.uniform(0.3, 3.0), rng.uniform(0.1, 2 * math.pi - 0.1)
+        bent.append((BoundaryPoint(r * complex(math.cos(phi), math.sin(phi)), rng.normal()), theta))
+    leaves = [foliation_leaf_rcircle(p) for p in rpoints]
+    leaves += [bent_leaf(p, theta) for p, theta in bent]
+    monkeypatch.setattr(Arc, "param_of", _reference_param_of)
+    ref = [foliation_leaf_rcircle(p) for p in rpoints]
+    ref += [bent_leaf(p, theta) for p, theta in bent]
+    assert leaves == ref
+
+
+def test_coincident_consecutive_points_rejected():
+    pts = bent_curve(3 * math.pi / 4, n=20).points
+    with pytest.raises(GeometryError, match="coincide"):
+        CurveSample(pts[:5] + [pts[4]] + pts[5:], closed=True, source="test")
+    with pytest.raises(GeometryError, match="coincide"):
+        CurveSample([INFINITY, INFINITY], closed=False, source="test")
+    assert len(CurveSample(pts[:1], closed=False, source="test").points) == 1
+    assert not CurveSample([], closed=False, source="test").points
 
 
 class TestFlowPoint:

@@ -179,6 +179,29 @@ class TestCrownCommand:
         assert not (out / "crown.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("crown", {"p": "x"}),
+        ("crown", {"word_length": "abc"}),
+        ("crown", {"gamma_word": "3215"}),
+        ("crown", {"gamma_word": "0"}),
+        ("crown", {"target_tau": None}),
+        ("crown", [1, 2]),
+        ("sweep", {"p": "x"}),
+        ("sweep", {"word_length": "abc"}),
+        ("sweep", {"n_phases": None}),
+    ],
+)
+def test_malformed_config_is_a_config_error(tmp_path, capsys, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 class TestFoliationCommand:
     def test_rcircle_leaf(self, capsys):
         code = main(["foliation", "rcircle", "0", "1", "0"])

@@ -35,6 +35,7 @@ from crchains.groups import (
 from crchains.hermitian import (
     ElementClass,
     GeometryError,
+    IndeterminateClassError,
     Model,
     box,
     random_form_preserving,
@@ -86,7 +87,7 @@ def test_axis_matches_classification_fixed_points(model):
         g = random_form_preserving(rng, model)
         try:
             cls = g.classification
-        except GeometryError:
+        except IndeterminateClassError:
             continue
         if cls.kind is not ElementClass.LOXODROMIC:
             continue

@@ -21,6 +21,7 @@ from crchains.crowns import (
 from crchains.groups import (
     LimitSetSample,
     TriangleParams,
+    _admissible_phase_bracket,
     _angular_order,
     complex_reflection,
     diagonal_loxodromic,
@@ -134,6 +135,69 @@ class TestTriangleGroup:
         rep = triangle_group(TriangleParams(3, 3, 4))
         for g in rep.generators:
             assert np.max(np.abs(g.matrix.imag)) < 1e-10
+
+    def test_word_reads_only_generator_letters(self):
+        rep = triangle_group(TriangleParams(3, 3, 4))
+        g = rep.generators
+        product = g[2].matrix @ g[1].matrix @ g[0].matrix @ g[1].matrix
+        assert rep.word("3212").matrix.tobytes() == GroupElement(product).matrix.tobytes()
+        assert np.array_equal(rep.word("").matrix, np.eye(3))
+        for bad in ("0", "301", "4", "12a", " 1"):
+            with pytest.raises(GeometryError, match="not a word"):
+                rep.word(bad)
+
+
+def _reference_phase_bracket(p, q, r, samples=720):
+    """_admissible_phase_bracket as it was: one eigvalsh per phase and a
+    while loop over the runs."""
+    phis = np.linspace(math.pi, 2 * math.pi, samples, endpoint=False)
+    good = []
+    for phi in phis:
+        vals = np.linalg.eigvalsh(np.conj(TriangleParams(p, q, r, float(phi)).gram()))
+        good.append(vals[0] < 0 < vals[1] and vals[2] > 0)
+    best_lo = best_hi = None
+    i = 0
+    while i < len(good):
+        if good[i]:
+            j = i
+            while j < len(good) and good[j]:
+                j += 1
+            if best_lo is None or j - i > best_hi - best_lo:
+                best_lo, best_hi = i, j
+            i = j
+        else:
+            i += 1
+    eps = (phis[1] - phis[0]) * 0.5
+    return float(phis[best_lo]) + eps, float(phis[best_hi - 1]) - eps
+
+
+@pytest.mark.parametrize("pqr", [(3, 3, 4), (3, 3, 5), (4, 4, 4), (2, 3, 7), (3, 4, 5), (2, 4, 5)])
+def test_phase_bracket_matches_loop_reference(pqr):
+    assert _admissible_phase_bracket(*pqr) == _reference_phase_bracket(*pqr)
+    for samples in (7, 50):
+        assert _admissible_phase_bracket(*pqr, samples) == _reference_phase_bracket(*pqr, samples)
+
+
+@pytest.mark.parametrize(
+    "mask",
+    ["011100111001110000111000", "110011100000000000000111", "000000000000000000000001",
+     "111111111111111111111111", "101010101010101010101010", "000111100000111110011111"],
+)
+def test_phase_bracket_run_rule(monkeypatch, mask):
+    """Several runs of admissible phases: the longest, the first on a tie."""
+    samples = len(mask)
+
+    def eigvalsh(m):
+        # the conjugated Gram entry (3, 1) is -cos(pi / r) exp(-i (phase - pi))
+        shift = np.mod(-np.angle(-np.asarray(m)[..., 2, 0]), 2 * np.pi)
+        k = np.rint(shift / (np.pi / samples)).astype(int)
+        good = np.array([c == "1" for c in mask])[k]
+        return np.stack([np.where(good, -1.0, 1.0), np.ones(k.shape), np.ones(k.shape)], -1)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    assert _admissible_phase_bracket(3, 3, 4, samples) == _reference_phase_bracket(
+        3, 3, 4, samples
+    )
 
 
 class TestEnumerateWords:

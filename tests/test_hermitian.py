@@ -20,6 +20,7 @@ from crchains.hermitian import (
     _box,
     _herm,
     _null_margin,
+    _proportional,
     box,
     cayley,
     classify,
@@ -355,3 +356,24 @@ def test_stacked_classifier_matches_per_element_reference():
             assert repelling[k].tobytes() == fixed[1].tobytes()
         else:
             assert cls.fixed_points is None
+
+
+def _reference_proportional(a, b, tol=1e-9):
+    """HVector.proportional_to as it was, one pair of entries at a time."""
+    c = np.cross(a, b)
+    return float(np.linalg.norm(c)) < tol * float(np.linalg.norm(a) * np.linalg.norm(b))
+
+
+def test_proportional_rows_match_scalar_reference():
+    """`_proportional` rows, and `proportional_to` as their one-row case,
+    give the old scalar verdicts on either side of the tolerance."""
+    rng = np.random.default_rng(30)
+    a = rng.normal(size=(600, 3)) + 1j * rng.normal(size=(600, 3))
+    c = rng.normal(size=(600, 1)) + 1j * rng.normal(size=(600, 1))
+    eps = 10.0 ** rng.uniform(-17, -5, size=(600, 1))
+    b = c * a + eps * (rng.normal(size=(600, 3)) + 1j * rng.normal(size=(600, 3)))
+    for tol in (1e-14, 1e-9):
+        ref = [_reference_proportional(x, y, tol) for x, y in zip(a, b)]
+        assert _proportional(a, b, tol).tolist() == ref
+        assert [HVector(x).proportional_to(HVector(y), tol) for x, y in zip(a, b)] == ref
+        assert 0 < sum(ref) < len(ref)
