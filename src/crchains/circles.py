@@ -40,6 +40,7 @@ from .hermitian import (
     TOL_ENDPOINT,
     TOL_LIFT,
     TOL_NULL,
+    TOL_PROPORTIONAL,
     _CAYLEY,
     _H_SIEGEL,
     _H_SIEGEL_INV,
@@ -47,6 +48,7 @@ from .hermitian import (
     _cross3,
     _herm,
     _null_margin,
+    _point_kinds,
     _proportional,
     box,
     cayley,
@@ -79,7 +81,7 @@ class CCircle:
     def contains(self, p: BoundaryPoint, tol: float = 1e-8) -> bool:
         return self.residual(p) < tol
 
-    def same_as(self, other: "CCircle", tol: float = 1e-9) -> bool:
+    def same_as(self, other: "CCircle", tol: float = TOL_PROPORTIONAL) -> bool:
         return self.polar.proportional_to(other.polar, tol)
 
 
@@ -112,9 +114,7 @@ class CircleIntersection:
     point: BoundaryPoint | None = None
 
 
-def circle_relations(
-    p: np.ndarray, q: np.ndarray, tol_null: float = TOL_NULL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def circle_relations(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`ccircles_intersect` on rows of (N, 3) Siegel polars p and q.
 
     Returns the CircleRelation of each row pair, the signed null margin of
@@ -126,7 +126,7 @@ def circle_relations(
     boxed = _box(p, q, _H_SIEGEL_INV)
     with np.errstate(invalid="ignore"):  # proportional polars box to zero: NaN
         margin = _null_margin(boxed, _H_SIEGEL)
-    meet = np.abs(margin) < tol_null
+    meet = np.abs(margin) < TOL_NULL
     kind = np.where(
         same,
         CircleRelation.EQUAL,
@@ -135,9 +135,7 @@ def circle_relations(
     return kind, margin, boxed
 
 
-def ccircles_intersect(
-    c1: CCircle, c2: CCircle, tol_null: float = TOL_NULL
-) -> CircleIntersection:
+def ccircles_intersect(c1: CCircle, c2: CCircle) -> CircleIntersection:
     """Intersection test via the box product of the polar points.
 
     The one-row case of `circle_relations`.
@@ -145,7 +143,6 @@ def ccircles_intersect(
     kind, margin, boxed = circle_relations(
         cayley(c1.polar.representative, Model.SIEGEL).entries[None],
         cayley(c2.polar.representative, Model.SIEGEL).entries[None],
-        tol_null,
     )
     kind, margin = kind[0], float(margin[0])
     if kind is CircleRelation.EQUAL:
@@ -199,22 +196,22 @@ class Arc:
         Im(c1 <b, a> / c0) is Im(<v, a> <a, b> / <v, b>).  The residual
         |det(a, b, v)| / (|a x b| |v|) is the distance of the lift from the
         span of the endpoint lifts, normalized.  The sign of the parameter
-        selects the side: positive parameters are on this arc.
+        selects the side: positive parameters are on this arc.  The far
+        endpoint is |c0 a| < 1e-12 |c1 b|: |<v, b>| |a| < 1e-12 |<v, a>| |b|.
         """
         e = lifts((self.start, self.end, p))
         a, b, v = e
         va, vb, ab = _herm(e[[2, 2, 0]], e[[0, 1, 1]], _H_SIEGEL).tolist()
         n = _cross3(a, b)
         residual = float(abs(n @ v) / (np.linalg.norm(n) * np.linalg.norm(v)))
-        if abs(vb) < 1e-12 * abs(va):
+        # the far-endpoint rule, squared: vdot is cheaper than a norm
+        if abs(vb) ** 2 * np.vdot(a, a).real < 1e-24 * abs(va) ** 2 * np.vdot(b, b).real:
             return math.inf, residual
         return (va * ab / vb).imag, residual
 
-    def contains(
-        self, p: BoundaryPoint, tol: float = 1e-8, strict_eps: float = 1e-10
-    ) -> bool:
-        """True when p is an interior point of the arc."""
-        if p.close_to(self.start, strict_eps) or p.close_to(self.end, strict_eps):
+    def contains(self, p: BoundaryPoint, tol: float = 1e-8) -> bool:
+        """True when p is an interior point of the arc, 1e-10 from its ends."""
+        if p.close_to(self.start, 1e-10) or p.close_to(self.end, 1e-10):
             return False
         t, res = self.param_of(p)
         return res < tol and t > 0
@@ -235,30 +232,14 @@ class ArcIntersection:
     relation: str | None = None  # for SAME_SUPPORT: equal / opposite / overlapping
 
 
-def _shares_endpoint(a1: Arc, a2: Arc, eps: float) -> bool:
-    return any(
-        p.close_to(q, eps)
-        for p in (a1.start, a1.end)
-        for q in (a2.start, a2.end)
-    )
-
-
-def arcs_intersect(
-    a1: Arc,
-    a2: Arc,
-    tol_null: float = TOL_NULL,
-    endpoint_eps: float = TOL_ENDPOINT,
-) -> ArcIntersection:
+def arcs_intersect(a1: Arc, a2: Arc) -> ArcIntersection:
     """Combinatorial intersection of two arcs of C-circles."""
-    inter = ccircles_intersect(a1.support, a2.support, tol_null)
+    inter = ccircles_intersect(a1.support, a2.support)
+    eps = TOL_ENDPOINT
     if inter.kind is CircleRelation.EQUAL:
-        if a1.start.close_to(a2.start, endpoint_eps) and a1.end.close_to(
-            a2.end, endpoint_eps
-        ):
+        if a1.start.close_to(a2.start, eps) and a1.end.close_to(a2.end, eps):
             return ArcIntersection(ArcRelation.SAME_SUPPORT, relation="equal")
-        if a1.start.close_to(a2.end, endpoint_eps) and a1.end.close_to(
-            a2.start, endpoint_eps
-        ):
+        if a1.start.close_to(a2.end, eps) and a1.end.close_to(a2.start, eps):
             return ArcIntersection(ArcRelation.SAME_SUPPORT, relation="opposite")
         return ArcIntersection(ArcRelation.SAME_SUPPORT, relation="overlapping")
     if inter.kind is CircleRelation.DISJOINT:
@@ -266,8 +247,8 @@ def arcs_intersect(
     q = inter.point
     assert q is not None
     ends = (a1.start, a1.end, a2.start, a2.end)
-    near_end = any(q.close_to(e, endpoint_eps) for e in ends)
-    if near_end and _shares_endpoint(a1, a2, endpoint_eps):
+    near_end = any(q.close_to(e, eps) for e in ends)
+    if near_end and any(p.close_to(e, eps) for p in ends[:2] for e in ends[2:]):
         return ArcIntersection(ArcRelation.SHARE_ENDPOINT, point=q)
     in1 = a1.contains(q, tol=TOL_ARC)
     in2 = a2.contains(q, tol=TOL_ARC)
@@ -278,9 +259,7 @@ def arcs_intersect(
     clear = math.inf
     for arc, inside in ((a1, in1), (a2, in2)):
         if not inside:
-            clear = min(
-                clear, q.chordal(arc.start), q.chordal(arc.end)
-            )
+            clear = min(clear, q.chordal(arc.start), q.chordal(arc.end))
     if near_end:
         clear = 0.0 if math.isinf(clear) else clear
     return ArcIntersection(ArcRelation.DISJOINT, margin=clear, point=q)
@@ -305,9 +284,10 @@ class RCircle:
             return True
         return abs(q.z.imag) < tol and abs(q.t) < tol
 
-    def sample(self, n: int, x_range: tuple[float, float] = (1e-3, 1e3)) -> "CurveSample":
+    def sample(self, n: int) -> "CurveSample":
+        """n points [x, 0] with 1e-3 <= |x| <= 1e3 geometrically spaced, then infinity."""
         xs = np.concatenate(
-            [-np.geomspace(x_range[1], x_range[0], n // 2), np.geomspace(x_range[0], x_range[1], n - n // 2)]
+            [-np.geomspace(1e3, 1e-3, n // 2), np.geomspace(1e-3, 1e3, n - n // 2)]
         )
         pts = [BoundaryPoint(float(x), 0.0).apply(self.frame) for x in xs]
         pts.append(INFINITY.apply(self.frame))
@@ -466,12 +446,12 @@ def _branch_point(u: float, branch: int, theta: float) -> BoundaryPoint:
     return BoundaryPoint(u * e, 0.0)
 
 
-def bent_leaf(p: BoundaryPoint, theta: float, tol: float = 1e-8) -> Arc:
+def bent_leaf(p: BoundaryPoint, theta: float) -> Arc:
     """Leaf through p of the arc foliation of the bent-curve complement.
 
     Endpoints on the two half-lines are found by root-finding on the
-    collinearity of the three null lifts; multistart covers the three
-    branch assignments.
+    collinearity of the three null lifts, to a residual of 1e-8;
+    multistart covers the three branch assignments.
     """
     if not math.pi / 2 <= theta <= 3 * math.pi / 2:
         raise GeometryError("bending angle outside the foliated range")
@@ -518,7 +498,7 @@ def bent_leaf(p: BoundaryPoint, theta: float, tol: float = 1e-8) -> Arc:
             with np.errstate(over="raise"):
                 sol = root(fn, s0, method="hybr", tol=1e-12)
                 res = float(np.linalg.norm(fn(sol.x)))
-            if res > tol:
+            if res > 1e-8:
                 continue
             a = _branch_point(math.exp(sol.x[0]), branches[0], theta)
             b = _branch_point(math.exp(sol.x[1]), branches[1], theta)
@@ -581,19 +561,18 @@ def min_collinearity(lifts: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     return best_triple(len(unit), lambda j: _det_block(unit, j), sign=-1)
 
 
-def mobius_sample(
-    sample: CurveSample, hyperconvex_tol: float = 1e-10
-) -> tuple[list[ProjectivePoint], float]:
+def mobius_sample(sample: CurveSample) -> tuple[list[ProjectivePoint], float]:
     """Polar images of all point pairs of a curve, with injectivity margin.
 
     Pairs (x, y) and (y, x) give the same image; the margin is the minimal
     projective (Fubini-Study) distance between images of distinct pairs.
-    Raises on a hyperconvexity violation, naming a witness triple.  The
-    test divides each triple determinant by the product of the pairwise
-    separations of the unit lifts: the determinant of three close points
-    shrinks like the cube of their spacing, the ratio does not.  The
-    separation |u x w| is the sine of the angle between the two complex
-    lines, so it does not depend on the phase of either lift.
+    Raises on a hyperconvexity violation (a ratio below 1e-10), naming a
+    witness triple.  The test divides each triple determinant by the
+    product of the pairwise separations of the unit lifts: the determinant
+    of three close points shrinks like the cube of their spacing, the
+    ratio does not.  The separation |u x w| is the sine of the angle
+    between the two complex lines, so it does not depend on the phase of
+    either lift.
     """
     v = lifts(sample.points)
     unit = v / np.linalg.norm(v, axis=1)[:, None]
@@ -606,14 +585,18 @@ def mobius_sample(
         return np.divide(det, scale, out=np.zeros_like(det), where=scale > 0)
 
     coll, witness = best_triple(len(unit), block, sign=-1)
-    if coll < hyperconvex_tol:
+    if coll < 1e-10:
         raise GeometryError(
             f"sample is not hyperconvex: triple {witness} is collinear "
             f"(det over separations {coll:.2e})"
         )
     i, j = np.triu_indices(v.shape[0], k=1)
     polars = _box(v[i], v[j], _H_SIEGEL_INV)  # one row per pair
-    images = [point_type(HVector(w)) for w in polars]
+    kinds, margins = _point_kinds(polars, _H_SIEGEL, TOL_NULL)
+    images = [
+        ProjectivePoint(HVector(w), k, m)
+        for w, k, m in zip(polars, kinds.tolist(), margins.tolist())
+    ]
     # nearest distinct image in the ball-model affine chart; images on the
     # hyperplane at infinity have no chart point and never realize it
     ball = polars @ _CAYLEY.T

@@ -73,6 +73,16 @@ def cmd_cartan(args) -> int:
     return EXIT_OK
 
 
+def _setting(value, default):
+    """value as the type of default, refusing what the conversion would change:
+    a boolean, or a non-integral float for an integer setting."""
+    if isinstance(value, bool) or (
+        isinstance(default, int) and isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValueError(f"{value!r} is not a {type(default).__name__}")
+    return type(default)(value)
+
+
 def _read_config(path: str | None, **defaults) -> tuple[dict, dict]:
     """The JSON config of `sweep` or `crown` and its settings, each read as
     the type of its default; ValueError on a malformed file or setting."""
@@ -86,7 +96,7 @@ def _read_config(path: str | None, **defaults) -> tuple[dict, dict]:
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path} is not a JSON object")
     try:
-        settings = {key: type(d)(cfg.get(key, d)) for key, d in defaults.items()}
+        settings = {key: _setting(cfg.get(key, d), d) for key, d in defaults.items()}
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed setting in {path}: {exc}") from exc
     if settings.get("gamma_word", "").strip("123"):

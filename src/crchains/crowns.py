@@ -40,6 +40,7 @@ from .hermitian import (
     GroupElement,
     IndeterminateClassError,
     Model,
+    TOL_DEDUP,
     TOL_LIFT,
     _CAYLEY_INV,
     _H_SIEGEL,
@@ -87,11 +88,7 @@ class Crown:
 
 
 def build_crown(
-    rep: Representation,
-    gamma_word: str,
-    length: int,
-    dedup_eps: float = 1e-6,
-    limit_length: int | None = None,
+    rep: Representation, gamma_word: str, length: int, limit_length: int | None = None
 ) -> Crown:
     """Crown arcs for all distinct cosets g<gamma> with |g| <= length.
 
@@ -114,7 +111,7 @@ def build_crown(
     ends = _axis_ends(np.concatenate([gamma.matrix[None], conj]))
     key = ball_rows(ends).view(float).reshape(-1, 2, 4)
     pair = np.stack([key.reshape(-1, 8), key[:, ::-1].reshape(-1, 8)], axis=1)
-    keep = _Dedup(dedup_eps).keep(pair)
+    keep = _Dedup(TOL_DEDUP).keep(pair)
     labels = [""] + [w for w, _ in words[1:n_arcs]]
     arcs = tuple(
         (labels[k], Arc(ends[2 * k], ends[2 * k + 1])) for k in np.flatnonzero(keep)
@@ -195,11 +192,7 @@ def _curve_fn_from_sample(sample: CurveSample) -> Callable[[float], BoundaryPoin
 
 
 def crossing_detector(
-    sample: CurveSample,
-    g: GroupElement,
-    s_range: tuple[float, float] = (0.0, 20.0),
-    grid: int = 2000,
-    tol: float = 1e-10,
+    sample: CurveSample, g: GroupElement, s_range: tuple[float, float] = (0.0, 20.0)
 ) -> list[tuple[Arc, Arc, BoundaryPoint]]:
     """C-circles through symmetric curve points that cross the axis arc.
 
@@ -207,8 +200,9 @@ def crossing_detector(
     each s the chord circle joins curve(-s) and curve(s); the real
     certificate f(s) is the Hermitian square of the box product of the
     chord polar with the axis polar.  Sign changes of f on the grid bracket
-    parameter values where the chord circle meets the axis chain; each
-    refined root is kept when the resulting arcs genuinely cross.
+    parameter values where the chord circle meets the axis chain on a grid
+    of 2000 values; each refined root with |f| <= 1e-10 is kept when the
+    resulting arcs genuinely cross.
     """
     axis = axis_at_infinity(g)  # raises unless g is loxodromic
     curve = _curve_fn_from_sample(sample)
@@ -224,14 +218,14 @@ def crossing_detector(
         scale = np.linalg.norm(chord, axis=-1) ** 2 * np.linalg.norm(n_axis) ** 2
         return (_herm(w, w, _H_SIEGEL).real / scale).reshape(np.shape(s))
 
-    ss = np.linspace(s_range[0] + 1e-6, s_range[1], grid)
+    ss = np.linspace(s_range[0] + 1e-6, s_range[1], 2000)
     vals = f(ss)
     out: list[tuple[Arc, Arc, BoundaryPoint]] = []
     for i in range(len(ss) - 1):
         if vals[i] == 0.0 or vals[i] * vals[i + 1] >= 0:
             continue
         s_star = brentq(f, float(ss[i]), float(ss[i + 1]), xtol=1e-14)
-        if abs(f(s_star)) > tol:
+        if abs(f(s_star)) > 1e-10:
             continue
         a = curve(-s_star)
         b = curve(s_star)
@@ -253,13 +247,12 @@ def _encode_matrix(m: np.ndarray):
 def export_uniformization(
     crown: Crown,
     report: EmbeddednessReport | None = None,
-    arc_samples: int = 64,
     metadata: dict | None = None,
 ) -> str:
     """JSON bundle of the crown data for external visualization.
 
-    Refuses to export when the embeddedness certificate reports a
-    crossing.
+    Each arc is a polyline of 64 chart points.  Refuses to export when
+    the embeddedness certificate reports a crossing.
     """
     if report is None:
         report = embeddedness(crown)
@@ -270,7 +263,7 @@ def export_uniformization(
         )
     arcs_payload = []
     for label, arc in crown.arcs:
-        poly = [p.to_json() for p in arc.sample(arc_samples, t_range=(1e-2, 1e2))]
+        poly = [p.to_json() for p in arc.sample(64, t_range=(1e-2, 1e2))]
         arcs_payload.append(
             {
                 "coset": label,

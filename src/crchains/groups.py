@@ -27,6 +27,7 @@ from .hermitian import (
     Model,
     PointType,
     ProjectivePoint,
+    TOL_DEDUP,
     TOL_LIFT,
     _H_SIEGEL,
     _classify_rows,
@@ -166,14 +167,7 @@ def triangle_group(params: TriangleParams) -> Representation:
     return Representation(params, gens, mirrors, tuple(report), tau)
 
 
-def triangle_group_at_tau(
-    p: int,
-    q: int,
-    r: int,
-    target_tau: float,
-    phase_bracket: tuple[float, float] | None = None,
-    tol: float = 1e-10,
-) -> Representation:
+def triangle_group_at_tau(p: int, q: int, r: int, target_tau: float) -> Representation:
     """Representation whose test-word trace has the given real part.
 
     The trace is monotone in the Gram phase over the admissible bracket;
@@ -183,9 +177,7 @@ def triangle_group_at_tau(
     def tau_re(phi):
         return triangle_group(TriangleParams(p, q, r, phi)).tau.real - target_tau
 
-    if phase_bracket is None:
-        phase_bracket = _admissible_phase_bracket(p, q, r)
-    lo, hi = phase_bracket
+    lo, hi = _admissible_phase_bracket(p, q, r)
     f_lo, f_hi = tau_re(lo), tau_re(hi)
     if f_lo * f_hi > 0:
         raise GeometryError(
@@ -193,7 +185,7 @@ def triangle_group_at_tau(
             f"({lo:.4f}, {hi:.4f}): endpoint values {f_lo + target_tau:.4f}, "
             f"{f_hi + target_tau:.4f}"
         )
-    phi = brentq(tau_re, lo, hi, xtol=tol)
+    phi = brentq(tau_re, lo, hi, xtol=1e-10)
     return triangle_group(TriangleParams(p, q, r, phi))
 
 
@@ -263,9 +255,7 @@ class _Dedup:
         return kept
 
 
-def enumerate_words(
-    rep: Representation, length: int, tol_dedup: float = 1e-6
-) -> list[tuple[str, GroupElement]]:
+def enumerate_words(rep: Representation, length: int) -> list[tuple[str, GroupElement]]:
     """All reduced words of length <= length, deduplicated projectively.
 
     Words avoid immediate letter repetition (the generators are
@@ -276,7 +266,7 @@ def enumerate_words(
     if length < 1:
         raise GeometryError("word length must be at least 1")
     gens = np.array([g.matrix for g in rep.generators])
-    kept = _Dedup(tol_dedup)
+    kept = _Dedup(TOL_DEDUP)
     frontier = np.eye(3, dtype=complex)[None]
     kept.keep(frontier.reshape(1, 1, 9))
     words, last = [""], np.array([-1])

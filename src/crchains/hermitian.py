@@ -28,6 +28,8 @@ TOL_EIGVEC = 1e-6  # null margin of a loxodromic fixed-point eigenvector
 TOL_LIFT = 1e-4  # null margin accepted when a computed lift is read as a point
 TOL_ARC = 1e-4  # support residual of a meeting point counted on an arc
 TOL_ENDPOINT = 1e-7  # chordal distance at which two arc endpoints coincide
+TOL_PROPORTIONAL = 1e-9  # |a x b| / (|a| |b|) below which two lifts span one line
+TOL_DEDUP = 1e-6  # distance at which two words or two crown axes are one
 
 
 class GeometryError(Exception):
@@ -110,7 +112,7 @@ class HVector:
         """Coordinatewise conjugate; form-compatible since J is real."""
         return HVector(np.conj(self.entries), self.model)
 
-    def proportional_to(self, other: "HVector", tol: float = 1e-9) -> bool:
+    def proportional_to(self, other: "HVector", tol: float = TOL_PROPORTIONAL) -> bool:
         """The one-row case of `_proportional`."""
         return bool(_proportional(self.entries, other.entries, tol))
 
@@ -134,7 +136,9 @@ def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * b.take(_ROLL, -1) - a.take(_ROLL, -1) * b).take(_ROLL, -1)
 
 
-def _proportional(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _proportional(
+    a: np.ndarray, b: np.ndarray, tol: float = TOL_PROPORTIONAL
+) -> np.ndarray:
     """Rows spanning one complex line: |a x b| < tol |a| |b|."""
     norm = np.linalg.norm
     return norm(_cross3(a, b), axis=-1) < tol * (norm(a, axis=-1) * norm(b, axis=-1))
@@ -192,20 +196,28 @@ class ProjectivePoint:
     def model(self) -> Model:
         return self.representative.model
 
-    def proportional_to(self, other: "ProjectivePoint", tol: float = 1e-9) -> bool:
+    def proportional_to(
+        self, other: "ProjectivePoint", tol: float = TOL_PROPORTIONAL
+    ) -> bool:
         return self.representative.proportional_to(other.representative, tol)
 
 
+# Row kinds of _point_kinds by code: 0 NEGATIVE, 1 NULL, 2 POSITIVE.
+_POINT_KINDS = np.array([*PointType], dtype=object)
+
+
+def _point_kinds(v: np.ndarray, j: np.ndarray, tol_null: float):
+    """PointType and type margin |<v, v>| / |v|^2 of each row of lifts: NULL
+    below tol_null, else by the sign of <v, v>, a NaN margin POSITIVE."""
+    margin = _null_margin(v, j)
+    code = np.where(np.abs(margin) < tol_null, 1, np.where(margin < 0, 0, 2))
+    return _POINT_KINDS[code], np.abs(margin)
+
+
 def point_type(v: HVector, tol_null: float = TOL_NULL) -> ProjectivePoint:
-    """Classify [v] as negative, null or positive for the ambient form."""
-    margin = float(_null_margin(v.entries, v.model.matrix))
-    if abs(margin) < tol_null:
-        kind = PointType.NULL
-    elif margin < 0:
-        kind = PointType.NEGATIVE
-    else:
-        kind = PointType.POSITIVE
-    return ProjectivePoint(v, kind, abs(margin))
+    """Classify [v] as negative, null or positive: the one-row `_point_kinds`."""
+    kind, margin = _point_kinds(v.entries, v.model.matrix, tol_null)
+    return ProjectivePoint(v, kind, float(margin))
 
 
 def cayley(v: HVector, to_model: Model) -> HVector:
@@ -307,7 +319,7 @@ def _unit_det(m: np.ndarray) -> np.ndarray:
 _KINDS = np.array([None, *ElementClass], dtype=object)
 
 
-def _classify_rows(m: np.ndarray, tol_lox: float = TOL_LOX):
+def _classify_rows(m: np.ndarray):
     """The classification rules on a (K, 3, 3) stack, with one eig call.
 
     Returns (kinds, lam, attracting, repelling, r): kinds is an object
@@ -320,8 +332,8 @@ def _classify_rows(m: np.ndarray, tol_lox: float = TOL_LOX):
     rows = np.arange(len(m))
     i_max, i_min = moduli.argmax(axis=-1), moduli.argmin(axis=-1)
     r = moduli[rows, i_max]
-    lox = r > 1.0 + tol_lox
-    band = ~lox & (r > 1.0 + 0.1 * tol_lox)
+    lox = r > 1.0 + TOL_LOX
+    band = ~lox & (r > 1.0 + 0.1 * TOL_LOX)
     # All moduli are 1 up to tolerance: elliptic iff diagonalizable, which
     # well separated eigenvalues always are; otherwise test the conditioning
     # of the eigenvector basis.
@@ -338,7 +350,7 @@ def _classify_rows(m: np.ndarray, tol_lox: float = TOL_LOX):
     return _KINDS[code], vals[rows, i_max], attracting, repelling, r
 
 
-def classify(g: GroupElement, tol_lox: float = TOL_LOX) -> Classification:
+def classify(g: GroupElement) -> Classification:
     """Classify a form-preserving element by its eigenvalue moduli.
 
     Loxodromic elements have eigenvalue moduli (r, 1, 1/r) with r > 1;
@@ -346,7 +358,7 @@ def classify(g: GroupElement, tol_lox: float = TOL_LOX) -> Classification:
     leading eigenvalue, mapped to (-pi, pi].  The one-row case of
     `_classify_rows`.
     """
-    kinds, lam, attracting, repelling, r = _classify_rows(g.matrix[None], tol_lox)
+    kinds, lam, attracting, repelling, r = _classify_rows(g.matrix[None])
     kind = kinds[0]
     if kind is None:
         raise IndeterminateClassError(
@@ -368,7 +380,7 @@ def classify(g: GroupElement, tol_lox: float = TOL_LOX) -> Classification:
     )
 
 
-def is_real_loxodromic(g: GroupElement, tol: float = TOL_TRACE) -> bool:
+def is_real_loxodromic(g: GroupElement) -> bool:
     """True when the centrally normalized unit-determinant trace is real."""
     cls = g.classification
     if cls.kind is not ElementClass.LOXODROMIC:
@@ -377,7 +389,7 @@ def is_real_loxodromic(g: GroupElement, tol: float = TOL_TRACE) -> bool:
     lam = vals[int(np.argmax(np.abs(vals)))]
     factor = _central_normalize(lam)
     tr = np.trace(g.matrix) * factor
-    return bool(abs(tr.imag) < tol * max(1.0, abs(tr)))
+    return bool(abs(tr.imag) < TOL_TRACE * max(1.0, abs(tr)))
 
 
 def random_form_preserving(

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .boundary import INFINITY, BoundaryPoint, best_triple, cartan, cartan_lifts, lifts
 from .circles import CurveSample, min_collinearity
@@ -55,14 +54,14 @@ def _abs_cartan_block(h: np.ndarray, j: int) -> np.ndarray:
     return np.abs(np.angle(prod))
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section maximization of a unimodal function on [lo, hi], 60 steps."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(60):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -205,10 +204,23 @@ class SweepResult:
 
 
 def spearman_neg_tau_vs_sup(rows: list[dict]) -> float:
-    """Rank correlation of -Re(tau) with the supremum over successful rows."""
-    ok = [r for r in rows if r["error"] is None]
-    rho, _ = spearmanr([-r["tau"][0] for r in ok], [r["sup_estimate"] for r in ok])
-    return float(rho)
+    """Spearman's rho of -Re(tau) with the supremum over successful rows.
+
+    The Pearson correlation of the average ranks, with ties ranked as
+    scipy.stats.spearmanr ranks them; NaN, without a warning, for fewer
+    than two rows, a NaN value or a constant column.
+    """
+    xy = np.array([[-r["tau"][0], r["sup_estimate"]] for r in rows if r["error"] is None])
+    if len(xy) < 2 or np.isnan(xy).any():
+        return math.nan
+    ranks = []
+    for v in xy.T:
+        _, inv, counts = np.unique(v, return_inverse=True, return_counts=True)
+        rank = (np.cumsum(counts) - (counts - 1) / 2.0)[inv]
+        ranks.append(rank - rank.mean())
+    rx, ry = ranks
+    den = math.sqrt(float(rx @ rx) * float(ry @ ry))
+    return float(rx @ ry) / den if den > 0 else math.nan
 
 
 def rows_to_csv(rows: list[dict]) -> str:
@@ -271,10 +283,8 @@ def sweep(
     return SweepResult(rows, word_length, dedup_eps)
 
 
-def parabolic_obstruction_demo(
-    kind: str, n_iter: int = 50, refine: bool = False
-) -> SlimnessReport:
-    """Slimness of a parabolic orbit: the three qualitative regimes.
+def parabolic_obstruction_demo(kind: str) -> SlimnessReport:
+    """Slimness of a 50-step parabolic orbit: the three qualitative regimes.
 
     vertical: orbit inside a chain, supremum pi/2.
     screw: rotation around the vertical axis, supremum approaches pi/2.
@@ -293,9 +303,9 @@ def parabolic_obstruction_demo(
         raise GeometryError(f"unknown parabolic kind {kind!r}")
     pts = [seed]
     cur = seed
-    for _ in range(n_iter):
+    for _ in range(50):
         cur = cur.apply(g)
         pts.append(cur)
     pts.append(INFINITY)  # the fixed point of all three model parabolics
     sample = CurveSample(pts, closed=False, source=f"parabolic:{kind}")
-    return sup_cartan(sample, refine=refine)
+    return sup_cartan(sample)

@@ -608,13 +608,16 @@ def test_param_of_with_a_far_endpoint(far):
     """Chart points of an arc whose endpoint lifts differ in norm by up to
     1e18 read back on the arc.  The old least-squares body lost the short
     lift below lstsq's default singular-value cutoff from far = 1e8 on and
-    read these points as off the circle (t = inf, residual 0.1 to 1)."""
+    read these points as off the circle (t = inf, residual 0.1 to 1).  The
+    far-endpoint rule weighs the lift norms, so the opposite arc does not
+    read them as its far endpoint (t = inf) and contain them too."""
     arc = Arc(BoundaryPoint(2e-9 + 5e-9j, 3e-17), BoundaryPoint(far * (1j - 0.45), 2.7 * far**2))
     for t0 in (0.1, 1.0, 10.0):
         p = arc.point(t0)
         t, res = arc.param_of(p)
         assert abs(t - t0) <= 1e-12 * t0 and res < 1e-14
         assert arc.contains(p)
+        assert not arc.opposite().contains(p)
 
 
 def test_leaves_match_least_squares_reference(monkeypatch):

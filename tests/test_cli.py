@@ -59,7 +59,8 @@ class TestSweepCommand:
         assert meta["version"] == __version__
         assert "seed" not in meta
         assert set(meta["tolerances"]) == {
-            "null", "lox", "trace", "eigvec", "lift", "arc", "endpoint"
+            "null", "lox", "trace", "eigvec", "lift", "arc", "endpoint",
+            "proportional", "dedup",
         }
         assert len(meta["config_hash"]) == 64
 
@@ -191,6 +192,9 @@ class TestCrownCommand:
         ("sweep", {"p": "x"}),
         ("sweep", {"word_length": "abc"}),
         ("sweep", {"n_phases": None}),
+        ("crown", {"word_length": 2.9}),  # int() would truncate it to 2
+        ("sweep", {"n_phases": True}),  # int() would read it as 1
+        ("sweep", {"phase_lo": False}),  # float() would read it as 0.0
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, cfg):

@@ -280,3 +280,53 @@ def test_triple_scan_matches_reference(name):
         assert np.array_equal(a.representative.entries, b.representative.entries)
         assert a.point_type is b.point_type and a.type_margin == b.type_margin
     assert mob_margin == pytest.approx(ref_margin, rel=1e-12)
+
+
+def _rows(x, y):
+    """Sweep row dicts whose -Re(tau) is x and whose supremum is y, with a
+    failed row that the correlation must skip."""
+    rows = [{"error": None, "tau": [-a, 0.0], "sup_estimate": b} for a, b in zip(x, y)]
+    return rows + [{"error": "failed", "tau": [math.nan, math.nan], "sup_estimate": math.nan}]
+
+
+def test_spearman_matches_scipy_reference():
+    """Average ranks over ties, as scipy.stats.spearmanr ranks them."""
+    from scipy.stats import spearmanr
+
+    from crchains.slimness import spearman_neg_tau_vs_sup
+
+    rng = np.random.default_rng(8)
+    for k in range(200):
+        n = int(rng.integers(3, 40))
+        x = rng.integers(0, 6, n).astype(float)  # heavy ties
+        y = rng.normal(size=n)
+        if k % 2:
+            y = np.round(y, 1)  # ties in both samples
+        if np.ptp(x) == 0 or np.ptp(y) == 0:
+            continue  # scipy warns on constant input; the next test covers it
+        ref = spearmanr(x, y)[0]
+        assert abs(spearman_neg_tau_vs_sup(_rows(x, y)) - ref) <= 1e-12
+
+
+def test_spearman_of_constant_input_is_nan_without_warning():
+    from crchains.slimness import spearman_neg_tau_vs_sup
+
+    # RuntimeWarnings are errors under the pytest configuration
+    assert math.isnan(spearman_neg_tau_vs_sup(_rows([1.0, 1.0, 1.0], [0.1, 0.2, 0.3])))
+    assert math.isnan(spearman_neg_tau_vs_sup(_rows([1.0, 2.0, 3.0], [0.5, 0.5, 0.5])))
+
+
+def test_import_does_not_load_scipy_stats():
+    """The library needs scipy.spatial, optimize and linalg only."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import crchains
+
+    # the child imports the same crchains as this process
+    path = [str(Path(crchains.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = "import crchains, sys; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
