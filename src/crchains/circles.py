@@ -385,7 +385,7 @@ def bent_curve(
     branch1 = [BoundaryPoint(float(x), 0.0) for x in radii[::-1]]
     branch2 = [BoundaryPoint(y * e, 0.0) for y in radii]
     pts = branch1 + [BoundaryPoint(0.0, 0.0)] + branch2 + [INFINITY]
-    return CurveSample(pts, closed=True, source=f"bent:{theta:.6g}")
+    return CurveSample(pts, closed=True, source=f"bent:{float(theta)!r}")
 
 
 def _bent_lifts(x, y, z, t, theta):
@@ -540,7 +540,7 @@ def spiral_curve(
         raise GeometryError("need at least two sample points")
     ss = np.linspace(s_range[0], s_range[1], n)
     pts = [BoundaryPoint(0.0, 0.0)] + [spiral_point(a, float(s)) for s in ss] + [INFINITY]
-    return CurveSample(pts, closed=False, source=f"spiral:{a:.6g}")
+    return CurveSample(pts, closed=False, source=f"spiral:{float(a)!r}")
 
 
 def _det_block(unit: np.ndarray, j: int) -> np.ndarray:

@@ -108,7 +108,7 @@ def cmd_sweep(args) -> int:
     try:
         cfg, s = _read_config(
             args.config, p=3, q=3, r=4, phase_lo=math.pi, phase_hi=4.3, n_phases=16,
-            word_length=10, dedup_eps=1e-3,
+            word_length=10, dedup_eps=hermitian.TOL_LIMIT,
         )
         if s["n_phases"] < 1 or s["phase_hi"] <= s["phase_lo"]:
             raise ValueError("empty phase range")
@@ -152,10 +152,7 @@ def cmd_sweep(args) -> int:
         rows.append(dict(row, index=index_of[row["phase"]]))
     rows.sort(key=lambda row: -row["tau"][0] if row["error"] is None else math.inf)
     csv_path.write_text(rows_to_csv(rows))
-    payload = json.loads(result.to_json(runtime))
-    payload["rows"] = rows
-    payload["metadata"] = metadata
-    json_path.write_text(json.dumps(payload, indent=1))
+    json_path.write_text(result.to_json(runtime, rows, metadata))
     ok_rows = [row for row in rows if row["error"] is None]
     if len(ok_rows) >= 3:
         rho = spearman_neg_tau_vs_sup(rows)
@@ -187,23 +184,13 @@ def cmd_crown(args) -> int:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     report = embeddedness(crown)
+    metadata = _metadata(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # the report's fields but the witness point, which the failure message prints
+    fields = {k: v for k, v in vars(report).items() if k != "witness_point"}
     report_path = out_dir / "crown_report.json"
-    report_path.write_text(
-        json.dumps(
-            {
-                "status": report.status,
-                "min_margin": report.min_margin,
-                "witness": list(report.witness) if report.witness else None,
-                "arcs_tested": report.arcs_tested,
-                "pairs_screened": report.pairs_screened,
-                "pairs_exact": report.pairs_exact,
-                "metadata": _metadata(cfg),
-            },
-            indent=1,
-        )
-    )
+    report_path.write_text(json.dumps(dict(fields, metadata=metadata), indent=1))
     if report.status != "EMBEDDED":
         print(
             f"certification failure: arcs {report.witness} cross "
@@ -211,7 +198,7 @@ def cmd_crown(args) -> int:
             file=sys.stderr,
         )
         return EXIT_CERTIFICATION
-    bundle = export_uniformization(crown, report, metadata=_metadata(cfg))
+    bundle = export_uniformization(crown, report, metadata=metadata)
     bundle_path = out_dir / "crown.json"
     bundle_path.write_text(bundle)
     print(
@@ -245,7 +232,7 @@ def cmd_foliation(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         pts = leaf.sample(args.n_samples)
         payload = {
-            "endpoints": [str(leaf.start), str(leaf.end)],
+            "endpoints": [leaf.start.to_json(), leaf.end.to_json()],
             "residual": residual,
             "polyline": [q.to_json() for q in pts],
             "metadata": _metadata(

@@ -287,8 +287,3 @@ def export_uniformization(
     if metadata:
         bundle["metadata"] = metadata
     return json.dumps(bundle)
-
-
-def read_uniformization(text: str) -> dict:
-    """Round-trip reader for the crown bundle."""
-    return json.loads(text)

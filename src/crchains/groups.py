@@ -29,6 +29,7 @@ from .hermitian import (
     ProjectivePoint,
     TOL_DEDUP,
     TOL_LIFT,
+    TOL_LIMIT,
     _H_SIEGEL,
     _classify_rows,
     _null_margin,
@@ -321,7 +322,7 @@ def _angular_order(points: list[BoundaryPoint]) -> list[BoundaryPoint]:
 
 
 def _limit_sample(
-    words: list[tuple[str, GroupElement]], length: int, eps: float = 1e-3
+    words: list[tuple[str, GroupElement]], length: int, eps: float = TOL_LIMIT
 ) -> LimitSetSample:
     """Limit set from the words of length <= length of an enumeration."""
     words = words[: bisect.bisect_right([len(w) for w, _ in words], length)]
@@ -348,9 +349,7 @@ def _limit_sample(
     )
 
 
-def limit_set(
-    rep: Representation, length: int, eps: float = 1e-3
-) -> LimitSetSample:
+def limit_set(rep: Representation, length: int, eps: float = TOL_LIMIT) -> LimitSetSample:
     """Attracting fixed points of all loxodromic words up to a length."""
     return _limit_sample(enumerate_words(rep, length), length, eps)
 

@@ -30,6 +30,7 @@ TOL_ARC = 1e-4  # support residual of a meeting point counted on an arc
 TOL_ENDPOINT = 1e-7  # chordal distance at which two arc endpoints coincide
 TOL_PROPORTIONAL = 1e-9  # |a x b| / (|a| |b|) below which two lifts span one line
 TOL_DEDUP = 1e-6  # distance at which two words or two crown axes are one
+TOL_LIMIT = 1e-3  # ball-chart distance at which two limit points are one
 
 
 class GeometryError(Exception):
@@ -304,10 +305,6 @@ class GroupElement:
     def classification(self) -> Classification:
         return classify(self)
 
-    @property
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
 
 def _unit_det(m: np.ndarray) -> np.ndarray:
     """Scale (..., 3, 3) matrices to determinant one by the principal cube root."""
@@ -350,6 +347,16 @@ def _classify_rows(m: np.ndarray):
     return _KINDS[code], vals[rows, i_max], attracting, repelling, r
 
 
+def _classify_one(g: GroupElement):
+    """`_classify_rows` of one element, raising inside the indeterminate band."""
+    kinds, lam, attracting, repelling, r = _classify_rows(g.matrix[None])
+    if kinds[0] is None:
+        raise IndeterminateClassError(
+            f"leading modulus {r[0]:.12f} inside the tolerance band"
+        )
+    return kinds[0], lam[0], attracting[0], repelling[0]
+
+
 def classify(g: GroupElement) -> Classification:
     """Classify a form-preserving element by its eigenvalue moduli.
 
@@ -358,15 +365,10 @@ def classify(g: GroupElement) -> Classification:
     leading eigenvalue, mapped to (-pi, pi].  The one-row case of
     `_classify_rows`.
     """
-    kinds, lam, attracting, repelling, r = _classify_rows(g.matrix[None])
-    kind = kinds[0]
-    if kind is None:
-        raise IndeterminateClassError(
-            f"leading modulus {r[0]:.12f} inside the tolerance band"
-        )
+    kind, lam, attracting, repelling = _classify_one(g)
     if kind is not ElementClass.LOXODROMIC:
         return Classification(kind)
-    theta = cmath.phase(lam[0] * _central_normalize(lam[0]))
+    theta = cmath.phase(lam * _central_normalize(lam))
     rot = 3.0 * theta
     if rot > math.pi:
         rot -= 2.0 * math.pi
@@ -374,21 +376,18 @@ def classify(g: GroupElement) -> Classification:
         ElementClass.LOXODROMIC,
         rot,
         (
-            point_type(HVector(attracting[0], g.model), TOL_EIGVEC),
-            point_type(HVector(repelling[0], g.model), TOL_EIGVEC),
+            point_type(HVector(attracting, g.model), TOL_EIGVEC),
+            point_type(HVector(repelling, g.model), TOL_EIGVEC),
         ),
     )
 
 
 def is_real_loxodromic(g: GroupElement) -> bool:
     """True when the centrally normalized unit-determinant trace is real."""
-    cls = g.classification
-    if cls.kind is not ElementClass.LOXODROMIC:
+    kind, lam, _, _ = _classify_one(g)
+    if kind is not ElementClass.LOXODROMIC:
         raise GeometryError("element is not loxodromic")
-    vals = np.linalg.eigvals(g.matrix)
-    lam = vals[int(np.argmax(np.abs(vals)))]
-    factor = _central_normalize(lam)
-    tr = np.trace(g.matrix) * factor
+    tr = np.trace(g.matrix) * _central_normalize(lam)
     return bool(abs(tr.imag) < TOL_TRACE * max(1.0, abs(tr)))
 
 

@@ -24,7 +24,7 @@ from .groups import (
     screw_parabolic,
     triangle_group,
 )
-from .hermitian import GeometryError
+from .hermitian import TOL_LIMIT, GeometryError
 
 MAX_SCAN_POINTS = 400
 
@@ -170,37 +170,37 @@ class SweepResult:
         return spearman_neg_tau_vs_sup(self.row_dicts())
 
     def row_dicts(self) -> list[dict]:
-        """JSON-ready rows; the argmax triple is kept as point strings."""
+        """JSON-ready rows, one key per `SweepRow` field in field order: tau
+        as [re, im], the argmax triple as point strings (None on a failed row)."""
         return [
-            {
-                "phase": r.phase,
-                "tau": [r.tau.real, r.tau.imag],
-                "n_points": r.n_points,
-                "sup_estimate": r.sup_estimate,
-                "argmax": (
-                    None if r.error is not None else [str(p) for p in r.argmax]
-                ),
-                "error": r.error,
-                "n_words": r.n_words,
-                "n_skipped": r.n_skipped,
-                "n_rejected": r.n_rejected,
-                "n_duplicates": r.n_duplicates,
-            }
+            dict(
+                vars(r),
+                tau=[r.tau.real, r.tau.imag],
+                argmax=None if r.error is not None else [str(p) for p in r.argmax],
+            )
             for r in self.rows
         ]
 
     def to_csv(self) -> str:
         return rows_to_csv(self.row_dicts())
 
-    def to_json(self, runtime: float | None = None) -> str:
-        return json.dumps(
-            {
-                "word_length": self.word_length,
-                "dedup_eps": self.dedup_eps,
-                "runtime_seconds": runtime,
-                "rows": self.row_dicts(),
-            }
-        )
+    def to_json(
+        self,
+        runtime: float | None = None,
+        rows: list[dict] | None = None,
+        metadata: dict | None = None,
+    ) -> str:
+        """The text of `sweep.json`: the settings, the runtime, the rows
+        (`row_dicts` unless given) and the metadata when there is one."""
+        payload = {
+            "word_length": self.word_length,
+            "dedup_eps": self.dedup_eps,
+            "runtime_seconds": runtime,
+            "rows": self.row_dicts() if rows is None else rows,
+        }
+        if metadata:
+            payload["metadata"] = metadata
+        return json.dumps(payload, indent=1)
 
 
 def spearman_neg_tau_vs_sup(rows: list[dict]) -> float:
@@ -250,7 +250,7 @@ def sweep(
     r: int,
     phases: list[float],
     word_length: int = 10,
-    dedup_eps: float = 1e-3,
+    dedup_eps: float = TOL_LIMIT,
 ) -> SweepResult:
     """Limit-set slimness across a list of Gram phases, sorted by trace.
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output files, metadata."""
 
+import inspect
 import json
 import math
 
@@ -7,6 +8,8 @@ import pytest
 
 import crchains.cli as cli
 from crchains import __version__
+from crchains.boundary import BoundaryPoint
+from crchains.circles import bent_leaf
 from crchains.cli import main
 
 
@@ -54,13 +57,22 @@ class TestSweepCommand:
         assert code == 0
         assert (out / "sweep.csv").exists()
         data = json.loads((out / "sweep.json").read_text())
+        assert list(data) == [
+            "word_length", "dedup_eps", "runtime_seconds", "rows", "metadata",
+        ]
         assert len(data["rows"]) == 4
+        assert [list(row) for row in data["rows"]] == 4 * [
+            [
+                "phase", "tau", "n_points", "sup_estimate", "argmax", "error",
+                "n_words", "n_skipped", "n_rejected", "n_duplicates", "index",
+            ]
+        ]
         meta = data["metadata"]
         assert meta["version"] == __version__
         assert "seed" not in meta
         assert set(meta["tolerances"]) == {
             "null", "lox", "trace", "eigvec", "lift", "arc", "endpoint",
-            "proportional", "dedup",
+            "proportional", "dedup", "limit",
         }
         assert len(meta["config_hash"]) == 64
 
@@ -137,6 +149,18 @@ class TestSweepCommand:
         with pytest.raises(SystemExit):
             main(["sweep", "--jobs", "2", "--out", str(tmp_path)])
 
+    def test_limit_radius_defaults_read_the_table(self, tmp_path, monkeypatch):
+        from crchains.groups import _limit_sample, limit_set
+        from crchains.slimness import SweepResult, sweep
+
+        for f, name in ((_limit_sample, "eps"), (limit_set, "eps"), (sweep, "dedup_eps")):
+            assert inspect.signature(f).parameters[name].default is cli.hermitian.TOL_LIMIT
+        # the CLI's dedup_eps setting reads the table when it runs
+        monkeypatch.setattr(cli.hermitian, "TOL_LIMIT", 2e-3)
+        monkeypatch.setattr(cli, "sweep", lambda *a: SweepResult([], a[-2], a[-1]))
+        assert main(["sweep", "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "sweep.json").read_text())["dedup_eps"] == 2e-3
+
 
 class TestCrownCommand:
     def test_embedded_crown(self, tmp_path, capsys):
@@ -146,6 +170,10 @@ class TestCrownCommand:
         code = main(["crown", "--config", str(cfg), "--out", str(out)])
         assert code == 0
         report = json.loads((out / "crown_report.json").read_text())
+        assert list(report) == [
+            "status", "min_margin", "witness", "arcs_tested", "pairs_screened",
+            "pairs_exact", "metadata",
+        ]
         assert report["status"] == "EMBEDDED"
         assert report["min_margin"] > 0
         bundle = json.loads((out / "crown.json").read_text())
@@ -223,6 +251,12 @@ class TestFoliationCommand:
         assert len(data["polyline"]) > 0
         assert data["residual"] < 1e-8
         assert "config_hash" in data["metadata"]
+        # the endpoints read back exactly, here on a bent leaf
+        argv = ["foliation", "bent", "0.5", "0.5", "0.2", "--theta", "2.35"]
+        assert main(argv + ["--out", str(out)]) == 0
+        leaf = bent_leaf(BoundaryPoint(0.5 + 0.5j, 0.2), 2.35)
+        ends = json.loads((out / "leaf.json").read_text())["endpoints"]
+        assert [BoundaryPoint.from_json(e) for e in ends] == [leaf.start, leaf.end]
 
     def test_bent_leaf(self, capsys):
         code = main(

@@ -1,5 +1,6 @@
 """Axes at infinity, crowns, embeddedness certificates, crossing scans."""
 
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from crchains.circles import (
     arcs_intersect,
     foliation_leaf_rcircle,
     spiral_curve,
+    spiral_point,
 )
 from crchains import crowns
 from crchains.crowns import (
@@ -24,7 +26,6 @@ from crchains.crowns import (
     crossing_detector,
     embeddedness,
     export_uniformization,
-    read_uniformization,
 )
 from crchains.groups import (
     TriangleParams,
@@ -238,12 +239,19 @@ class TestCrossingDetector:
                 spiral_curve(0.3), heisenberg_translation(0, 1.0)
             )
 
+    def test_follows_the_sampled_spiral(self):
+        # a parameter with more than six significant digits survives the tag
+        a = 0.2960712345
+        curve = _curve_fn_from_sample(spiral_curve(a))
+        for s in (-6.0, -0.5, 1e-6, 2.0, 5.0, 20.0):
+            assert curve(s) == spiral_point(a, s)
+
 
 class TestExport:
     def test_round_trip(self, fuchsian_crown):
         report = embeddedness(fuchsian_crown)
         text = export_uniformization(fuchsian_crown, report)
-        data = read_uniformization(text)
+        data = json.loads(text)
         assert len(data["arcs"]) == len(fuchsian_crown.arcs)
         assert data["report"]["status"] == "EMBEDDED"
         assert len(data["generators"]) == 3
@@ -261,7 +269,7 @@ class TestExport:
         c2 = build_crown(rep2, "3212", 2)
         report = embeddedness(c2)
         assert report.status == "EMBEDDED"
-        data = read_uniformization(export_uniformization(c2, report))
+        data = json.loads(export_uniformization(c2, report))
         assert len(data["arcs"]) == len(c2.arcs)
 
 
