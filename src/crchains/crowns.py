@@ -245,17 +245,13 @@ def _encode_matrix(m: np.ndarray):
 
 
 def export_uniformization(
-    crown: Crown,
-    report: EmbeddednessReport | None = None,
-    metadata: dict | None = None,
+    crown: Crown, report: EmbeddednessReport, metadata: dict | None = None
 ) -> str:
     """JSON bundle of the crown data for external visualization.
 
     Each arc is a polyline of 64 chart points.  Refuses to export when
-    the embeddedness certificate reports a crossing.
+    the embeddedness certificate `report` reports a crossing.
     """
-    if report is None:
-        report = embeddedness(crown)
     if report.status != "EMBEDDED":
         raise GeometryError(
             f"crown is not embedded: arcs {report.witness} cross"

@@ -5,6 +5,18 @@ reflections of order two whose polar vectors have a prescribed Gram
 matrix.  The free phase of the Gram triple product parametrizes the
 deformation family; the trace of a fixed test word serves as the
 coordinate on it.
+
+With c_i = cos(pi / n_i) for (n_1, n_2, n_3) = (p, q, r) and psi = phase -
+pi, the Gram matrix has det G = 1 - sum c_i^2 - 2 c_1 c_2 c_3 cos psi, and
+its signature is (2,1) exactly when det G < 0 (the diagonal is 1 and the
+leading 2x2 minor positive).  The test word 3212 = R3 (R2 R1 R2) is a
+product of two complex reflections, tr(R_a R_b) = 4 |<a,b>|^2 / (<a,a>
+<b,b>) - 1, so its trace is real:
+
+    tau = 16 c_1^2 c_2^2 + 4 c_3^2 - 1 + 16 c_1 c_2 c_3 cos psi.
+
+Over the admissible phases tau fills (2, 2 + 2 sqrt 2] for (3,3,4); the
+top end is the R-Fuchsian group at phase pi.
 """
 
 from __future__ import annotations
@@ -15,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
 from .boundary import BoundaryPoint, ball_rows, points_from_lifts
@@ -171,46 +182,23 @@ def triangle_group(params: TriangleParams) -> Representation:
 def triangle_group_at_tau(p: int, q: int, r: int, target_tau: float) -> Representation:
     """Representation whose test-word trace has the given real part.
 
-    The trace is monotone in the Gram phase over the admissible bracket;
-    the phase is located by 1D root finding.
+    Solves the closed-form trace of the module docstring for x = cos psi
+    and builds the group once, at phase pi + arccos x.
     """
-
-    def tau_re(phi):
-        return triangle_group(TriangleParams(p, q, r, phi)).tau.real - target_tau
-
-    lo, hi = _admissible_phase_bracket(p, q, r)
-    f_lo, f_hi = tau_re(lo), tau_re(hi)
-    if f_lo * f_hi > 0:
+    TriangleParams(p, q, r)  # rejects non-hyperbolic orders
+    c1, c2, c3 = (math.cos(math.pi / n) for n in (p, q, r))
+    det_0, c123 = 1 - c1**2 - c2**2 - c3**2, c1 * c2 * c3
+    tau_0 = 16 * c1**2 * c2**2 + 4 * c3**2 - 1
+    x = (target_tau - tau_0) / (16 * c123)
+    # det G = det_0 - 2 c123 x; a det within rounding of 0 is the singular end
+    if not (-1 <= x <= 1 and det_0 - 2 * c123 * x < -1e-14):
+        x_0 = det_0 / (2 * c123)
         raise GeometryError(
-            f"target trace {target_tau} not bracketed on phase interval "
-            f"({lo:.4f}, {hi:.4f}): endpoint values {f_lo + target_tau:.4f}, "
-            f"{f_hi + target_tau:.4f}"
+            f"target trace {target_tau} outside the admissible interval "
+            f"{'[' if x_0 < -1 else '('}{tau_0 + 16 * c123 * max(x_0, -1):.15g}, "
+            f"{tau_0 + 16 * c123:.15g}] of the ({p},{q},{r}) family"
         )
-    phi = brentq(tau_re, lo, hi, xtol=1e-10)
-    return triangle_group(TriangleParams(p, q, r, phi))
-
-
-def _admissible_phase_bracket(
-    p: int, q: int, r: int, samples: int = 720
-) -> tuple[float, float]:
-    """Largest phase subinterval of (0, 2 pi) with Gram signature (2,1).
-
-    Restricted to [pi, 2 pi): the family is symmetric under phase
-    reflection, so one half suffices.
-    """
-    phis = np.linspace(math.pi, 2 * math.pi, samples, endpoint=False)
-    grams = [TriangleParams(p, q, r, float(phi)).gram() for phi in phis]
-    vals = np.linalg.eigvalsh(np.conj(grams))
-    good = (vals[:, 0] < 0) & (0 < vals[:, 1]) & (vals[:, 2] > 0)
-    if not good.any():
-        raise GeometryError("no admissible phase found")
-    # longest run of admissible phases, the first one on a tie
-    step = np.diff(np.concatenate([[0], good.astype(np.int8), [0]]))
-    starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
-    k = int(np.argmax(ends - starts))
-    best_lo, best_hi = starts[k], ends[k]
-    eps = (phis[1] - phis[0]) * 0.5
-    return float(phis[best_lo]) + eps, float(phis[best_hi - 1]) - eps
+    return triangle_group(TriangleParams(p, q, r, math.pi + math.acos(x)))
 
 
 class _Dedup:

@@ -75,12 +75,8 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
 
 
 def _segment_blend(p: BoundaryPoint, q: BoundaryPoint, s: float) -> BoundaryPoint:
-    """Point at fraction s of the Heisenberg segment from p to q."""
-    if p.at_infinity or q.at_infinity:
-        return p if s < 0.5 else q
-    return BoundaryPoint(
-        p.z + s * (q.z - p.z), p.t + s * (q.t - p.t)
-    )
+    """Point at fraction s of the Heisenberg segment between finite p and q."""
+    return BoundaryPoint(p.z + s * (q.z - p.z), p.t + s * (q.t - p.t))
 
 
 def _refine_triple(

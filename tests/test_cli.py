@@ -180,6 +180,22 @@ class TestCrownCommand:
         assert bundle["report"]["status"] == "EMBEDDED"
         assert "EMBEDDED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("target", [3.2, 4.82842712474619])
+    def test_target_tau(self, tmp_path, capsys, target):
+        # 4.82842712474619 = 2 + 2 sqrt 2, the R-Fuchsian end of the family
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"target_tau": target, "word_length": 2}))
+        code = main(["crown", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert "EMBEDDED" in capsys.readouterr().out
+
+    def test_target_tau_outside_family(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"target_tau": 4.9, "word_length": 2}))
+        code = main(["crown", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "admissible interval (2, 4.82842712474619]" in capsys.readouterr().err
+
     def test_non_loxodromic_core(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"gamma_word": "1", "word_length": 2}))

@@ -1,5 +1,6 @@
 """Axes at infinity, crowns, embeddedness certificates, crossing scans."""
 
+import dataclasses
 import json
 import math
 
@@ -201,6 +202,17 @@ class TestEmbeddedness:
         report = embeddedness(crown2)
         assert report.status == "CROSSING"
         assert report.witness is not None
+
+    def test_meeting_supports_go_to_the_exact_test(self, fuchsian_crown):
+        # two vertical chains meet at infinity, outside both arcs: the screen
+        # passes the pair on and the exact test settles it as disjoint
+        a1 = Arc(BoundaryPoint(0, 0), BoundaryPoint(0, 1))
+        a2 = Arc(BoundaryPoint(1, 0), BoundaryPoint(1, 1))
+        crown = dataclasses.replace(fuchsian_crown, arcs=(("a1", a1), ("a2", a2)))
+        report = embeddedness(crown)
+        assert report.status == "EMBEDDED"
+        assert (report.pairs_screened, report.pairs_exact) == (0, 1)
+        assert report.min_margin == arcs_intersect(a1, a2).margin == 1.264911064067352
 
     def test_fuchsian_arcs_are_foliation_leaves(self, fuchsian_crown):
         # each crown arc lies on the support of the leaf through any of

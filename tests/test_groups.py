@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crchains import groups
 from crchains.boundary import BoundaryPoint, INFINITY, normalizer_to_standard
 from crchains.circles import Arc, ArcRelation, arcs_intersect
 from crchains.crowns import (
@@ -21,7 +22,6 @@ from crchains.crowns import (
 from crchains.groups import (
     LimitSetSample,
     TriangleParams,
-    _admissible_phase_bracket,
     _angular_order,
     complex_reflection,
     diagonal_loxodromic,
@@ -147,57 +147,71 @@ class TestTriangleGroup:
                 rep.word(bad)
 
 
-def _reference_phase_bracket(p, q, r, samples=720):
-    """_admissible_phase_bracket as it was: one eigvalsh per phase and a
-    while loop over the runs."""
-    phis = np.linspace(math.pi, 2 * math.pi, samples, endpoint=False)
-    good = []
-    for phi in phis:
-        vals = np.linalg.eigvalsh(np.conj(TriangleParams(p, q, r, float(phi)).gram()))
-        good.append(vals[0] < 0 < vals[1] and vals[2] > 0)
-    best_lo = best_hi = None
-    i = 0
-    while i < len(good):
-        if good[i]:
-            j = i
-            while j < len(good) and good[j]:
-                j += 1
-            if best_lo is None or j - i > best_hi - best_lo:
-                best_lo, best_hi = i, j
-            i = j
-        else:
-            i += 1
-    eps = (phis[1] - phis[0]) * 0.5
-    return float(phis[best_lo]) + eps, float(phis[best_hi - 1]) - eps
+TRIPLES = [(3, 3, 4), (4, 4, 4), (3, 4, 5), (3, 3, 5), (5, 5, 5), (2, 3, 7)]
 
 
-@pytest.mark.parametrize("pqr", [(3, 3, 4), (3, 3, 5), (4, 4, 4), (2, 3, 7), (3, 4, 5), (2, 4, 5)])
-def test_phase_bracket_matches_loop_reference(pqr):
-    assert _admissible_phase_bracket(*pqr) == _reference_phase_bracket(*pqr)
-    for samples in (7, 50):
-        assert _admissible_phase_bracket(*pqr, samples) == _reference_phase_bracket(*pqr, samples)
+def _cosines(p, q, r):
+    return [math.cos(math.pi / n) for n in (p, q, r)]
 
 
-@pytest.mark.parametrize(
-    "mask",
-    ["011100111001110000111000", "110011100000000000000111", "000000000000000000000001",
-     "111111111111111111111111", "101010101010101010101010", "000111100000111110011111"],
-)
-def test_phase_bracket_run_rule(monkeypatch, mask):
-    """Several runs of admissible phases: the longest, the first on a tie."""
-    samples = len(mask)
+def _signature_21(p, q, r, phis):
+    """Reference: the eigvalsh signature of the Gram matrix at each phase."""
+    grams = np.array([TriangleParams(p, q, r, float(phi)).gram() for phi in phis])
+    vals = np.linalg.eigvalsh(np.conj(grams))
+    return (vals[:, 0] < 0) & (vals[:, 1] > 0)
 
-    def eigvalsh(m):
-        # the conjugated Gram entry (3, 1) is -cos(pi / r) exp(-i (phase - pi))
-        shift = np.mod(-np.angle(-np.asarray(m)[..., 2, 0]), 2 * np.pi)
-        k = np.rint(shift / (np.pi / samples)).astype(int)
-        good = np.array([c == "1" for c in mask])[k]
-        return np.stack([np.where(good, -1.0, 1.0), np.ones(k.shape), np.ones(k.shape)], -1)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    assert _admissible_phase_bracket(3, 3, 4, samples) == _reference_phase_bracket(
-        3, 3, 4, samples
+@pytest.mark.parametrize("pqr", TRIPLES)
+def test_det_rule_matches_eigvalsh_signature(pqr):
+    c1, c2, c3 = _cosines(*pqr)
+    phis = np.linspace(math.pi, 2 * math.pi, 20001)[:-1]
+    det = 1 - c1**2 - c2**2 - c3**2 - 2 * c1 * c2 * c3 * np.cos(phis - math.pi)
+    assert np.array_equal(det < 0, _signature_21(*pqr, phis))
+
+
+@pytest.mark.parametrize("pqr", TRIPLES)
+def test_closed_form_trace_matches_matrices(pqr):
+    c1, c2, c3 = _cosines(*pqr)
+    phis = math.pi + (np.arange(50) + 0.5) * math.pi / 50  # off the singular phases
+    phis = phis[_signature_21(*pqr, phis)]
+    assert len(phis) >= 10
+    for phi in phis.tolist():
+        tau = 16 * c1**2 * c2**2 + 4 * c3**2 - 1 + 16 * c1 * c2 * c3 * math.cos(phi - math.pi)
+        got = triangle_group(TriangleParams(*pqr, phi)).tau
+        assert abs(got - tau) <= 1e-12 * abs(tau)
+
+
+# phases the root solve over the sampled phase bracket found for (3,3,4)
+BRENTQ_PHASES = {4.8: 3.283489708193965, 3.2: 4.274239949800518, 2.5: 4.534678379539577}
+
+
+@pytest.mark.parametrize("target", [TAU_FUCHSIAN, 4.8, 3.7, 3.2, 3.0, 2.5, 2 + 1e-9])
+def test_target_tau_in_closed_form(monkeypatch, target):
+    built = []
+    monkeypatch.setattr(
+        groups, "triangle_group", lambda params: built.append(params) or triangle_group(params)
     )
+    rep = triangle_group_at_tau(3, 3, 4, target)
+    assert len(built) == 1
+    assert abs(rep.tau.real - target) <= 1e-12
+    if target in BRENTQ_PHASES:
+        assert abs(rep.params.phase - BRENTQ_PHASES[target]) <= 1e-12
+
+
+@pytest.mark.parametrize("target", [2.0, 2 - 1e-9, 1.0, -3.0, 4.83, 5.0, math.inf, math.nan])
+def test_target_tau_outside_family(target):
+    with pytest.raises(GeometryError, match=r"interval \(2, 4\.82842712474619\]"):
+        triangle_group_at_tau(3, 3, 4, target)
+
+
+def test_target_tau_whole_circle_interval():
+    # for (3,10,10) every phase is admissible: the interval is closed
+    c1, c2, c3 = _cosines(3, 10, 10)
+    assert 1 - c1**2 - c2**2 - c3**2 + 2 * c1 * c2 * c3 < 0
+    lo = 16 * c1**2 * c2**2 + 4 * c3**2 - 1 - 16 * c1 * c2 * c3
+    assert triangle_group_at_tau(3, 10, 10, lo).params.phase == pytest.approx(2 * math.pi)
+    with pytest.raises(GeometryError, match=r"interval \[-1, 13\.47"):
+        triangle_group_at_tau(3, 10, 10, lo - 1e-9)
 
 
 class TestEnumerateWords:

@@ -23,6 +23,7 @@ from crchains.hermitian import (
     point_type,
 )
 from crchains.slimness import (
+    MAX_SCAN_POINTS,
     HyperconvexityReport,
     SlimnessReport,
     hyperconvexity,
@@ -82,6 +83,14 @@ class TestSupCartan:
         fine = sup_cartan(sample, refine=True)
         assert fine.sup_estimate >= coarse.sup_estimate - 1e-15
         assert fine.refined
+
+    def test_large_sample_thinned_uniformly(self):
+        sample = bent_curve(3 * math.pi / 4, n=600)
+        report = sup_cartan(sample)
+        assert report.n_points == MAX_SCAN_POINTS == 400
+        sel = np.linspace(0, len(sample.points) - 1, MAX_SCAN_POINTS).astype(int)
+        thinned = CurveSample([sample.points[i] for i in sel], sample.closed, sample.source)
+        assert report == sup_cartan(thinned)
 
     def test_too_few_points(self):
         with pytest.raises(GeometryError):
