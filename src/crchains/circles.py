@@ -17,8 +17,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import root
-from scipy.spatial import cKDTree
 
 from .boundary import (
     INFINITY,
@@ -55,6 +53,16 @@ from .hermitian import (
     herm_inner,
     point_type,
 )
+
+
+# scipy's solvers load on first use, so the sweep and crown paths import no
+# scipy submodule; the names stay module attributes that a caller can rebind
+def root(fun, x0, **kwargs):
+    """scipy.optimize.root, loaded on the first call: only bent_leaf solves."""
+    from scipy.optimize import root as solve
+
+    return solve(fun, x0, **kwargs)
+
 
 # Ratio between the Hermitian square of the doubly-boxed four-point vector
 # and the factored polynomial certificate for two bent half-lines; fixed by
@@ -606,6 +614,8 @@ def mobius_sample(sample: CurveSample) -> tuple[list[ProjectivePoint], float]:
     rep = rep[np.isfinite(rep).all(axis=1)]
     margin = math.inf
     if len(rep) > 1:
+        from scipy.spatial import cKDTree
+
         margin = float(cKDTree(rep).query(rep, k=2)[0][:, 1].min())
     return images, margin
 

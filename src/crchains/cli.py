@@ -10,11 +10,14 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, hermitian
 from .boundary import BoundaryPoint, INFINITY, cartan
@@ -41,6 +44,13 @@ def _metadata(config: dict) -> dict:
             if name.startswith("TOL_")
         },
         "config_hash": hashlib.sha256(blob).hexdigest(),
+        # the top-level scipy package only: its submodules load where used
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+        },
     }
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .boundary import BoundaryPoint, ball_rows, lifts, points_from_lifts
 from .circles import (
@@ -50,6 +49,13 @@ from .hermitian import (
     _herm,
     _unit_det,
 )
+
+
+def brentq(f, a, b, **kwargs):
+    """scipy.optimize.brentq, loaded on the first call: only crossing_detector solves."""
+    from scipy.optimize import brentq as solve
+
+    return solve(f, a, b, **kwargs)
 
 
 def _axis_ends(m: np.ndarray, model: Model = Model.SIEGEL) -> list[BoundaryPoint]:

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .boundary import BoundaryPoint, ball_rows, points_from_lifts
 from .hermitian import (
@@ -204,8 +203,11 @@ def triangle_group_at_tau(p: int, q: int, r: int, target_tau: float) -> Represen
 class _Dedup:
     """First-come deduplication of keys under the Euclidean norm.
 
-    `keep` takes a whole batch of candidates at once.  A k-d tree finds the
-    key pairs within 2 tol; the exact norm test runs on those pairs only.
+    `keep` takes a whole batch of candidates at once.  No coordinate
+    difference exceeds the distance, so the keys within tol of a point lie
+    in a window of half-width tol around it on the widest coordinate; after
+    one sort on that coordinate the exact norm test runs on the pairs
+    inside the windows only.
     """
 
     def __init__(self, tol: float):
@@ -227,10 +229,17 @@ class _Dedup:
             keys = np.concatenate([self._keys, keys])
         n_old = len(keys) - n_new
         flat = variants.reshape(n_new * n_var, d)
-        near = cKDTree(keys.view(float)).sparse_distance_matrix(
-            cKDTree(flat.view(float)), 2 * self.tol, output_type="ndarray"
-        )
-        k, q = near["i"], near["j"]
+        real_keys, real_flat = keys.view(float), flat.view(float)
+        axis = int(np.argmax(np.ptp(real_keys, axis=0)))
+        order = np.argsort(real_keys[:, axis])
+        line, at = real_keys[order, axis], real_flat[:, axis]
+        # the slack covers the rounding of the window ends and of the norm
+        reach = self.tol + 1e-12 * (self.tol + np.abs(line).max() + np.abs(at).max())
+        lo = np.searchsorted(line, at - reach, "left")
+        count = np.searchsorted(line, at + reach, "right") - lo
+        # every (key, variant) pair of the windows, as flat index arrays
+        q = np.repeat(np.arange(len(at)), count)
+        k = order[np.arange(len(q)) - np.repeat(np.cumsum(count) - count - lo, count)]
         close = np.linalg.norm(keys[k] - flat[q], axis=-1) < self.tol
         k, n = k[close] - n_old, q[close] // n_var
         kept = np.ones(n_new, dtype=bool)

@@ -154,6 +154,8 @@ class SweepRow:
     n_skipped: int | None = None
     n_rejected: int | None = None
     n_duplicates: int | None = None
+    # points sup_cartan scanned: n_points, thinned to MAX_SCAN_POINTS
+    n_scanned: int | None = None
 
 
 @dataclass(frozen=True)
@@ -269,6 +271,7 @@ def sweep(
                     n_skipped=ls.n_skipped,
                     n_rejected=ls.n_rejected,
                     n_duplicates=ls.n_duplicates,
+                    n_scanned=rep_report.n_points,
                 )
             )
         except GeometryError as exc:

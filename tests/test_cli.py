@@ -64,7 +64,8 @@ class TestSweepCommand:
         assert [list(row) for row in data["rows"]] == 4 * [
             [
                 "phase", "tau", "n_points", "sup_estimate", "argmax", "error",
-                "n_words", "n_skipped", "n_rejected", "n_duplicates", "index",
+                "n_words", "n_skipped", "n_rejected", "n_duplicates", "n_scanned",
+                "index",
             ]
         ]
         meta = data["metadata"]
@@ -75,6 +76,7 @@ class TestSweepCommand:
             "proportional", "dedup", "limit",
         }
         assert len(meta["config_hash"]) == 64
+        assert list(meta["environment"]) == ["python", "numpy", "scipy", "cpu_count"]
 
     def test_empty_phase_range(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -176,6 +178,9 @@ class TestCrownCommand:
         ]
         assert report["status"] == "EMBEDDED"
         assert report["min_margin"] > 0
+        env = report["metadata"]["environment"]
+        assert list(env) == ["python", "numpy", "scipy", "cpu_count"]
+        assert env["cpu_count"] >= 1
         bundle = json.loads((out / "crown.json").read_text())
         assert bundle["report"]["status"] == "EMBEDDED"
         assert "EMBEDDED" in capsys.readouterr().out
@@ -296,3 +301,39 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_sweep_and_crown_load_no_scipy_submodule(tmp_path):
+    """The sweep and crown paths run on numpy alone; scipy's solvers load on
+    the first call that needs one."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import crchains
+
+    # the child imports the same crchains as this process
+    path = [str(Path(crchains.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = f"""
+import contextlib, io, json, sys
+import crchains
+from crchains import cli
+from crchains.boundary import BoundaryPoint
+out = {str(tmp_path)!r}
+with open(out + "/sweep_cfg.json", "w") as fh:
+    json.dump({{"n_phases": 2, "word_length": 4}}, fh)
+with open(out + "/crown_cfg.json", "w") as fh:
+    json.dump({{"word_length": 2}}, fh)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["sweep", "--config", out + "/sweep_cfg.json", "--out", out + "/s"]) == 0
+    assert cli.main(["crown", "--config", out + "/crown_cfg.json", "--out", out + "/c"]) == 0
+subs = ("spatial", "optimize", "linalg", "sparse")
+loaded = [m for m in sys.modules if m.split(".")[:2] in [["scipy", s] for s in subs]]
+assert not loaded, loaded
+leaf = crchains.bent_leaf(BoundaryPoint(0.5 + 0.5j, 0.3), 3.0)
+assert leaf.contains(BoundaryPoint(0.5 + 0.5j, 0.3), tol=1e-6)
+assert "scipy.optimize" in sys.modules
+"""
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -460,7 +460,7 @@ def test_batched_dedup_matches_sequential(seed, n, n_var, d, cuts, complex_keys)
     for k in range(n):
         if k and rng.random() < 0.6:
             # a copy of an earlier variant moved by a fraction of tol,
-            # on both sides of tol and of the 2 tol prefilter radius
+            # on both sides of tol and of 2 tol
             src = cand[rng.integers(k), rng.integers(n_var)]
             step = rng.normal(size=d) + (1j * rng.normal(size=d) if complex_keys else 0)
             dist = tol * rng.choice([0.0, 0.3, 0.9, 1.1, 1.9, 2.1])
@@ -474,6 +474,62 @@ def test_batched_dedup_matches_sequential(seed, n, n_var, d, cuts, complex_keys)
     dedup = _Dedup(tol)
     got = [bool(k) for batch in batches for k in dedup.keep(batch)]
     assert got == _sequential_keep(batches, tol)
+
+
+def _edge_batch(rng, tol, d, complex_keys):
+    """Candidates planted at tol (1 -+ 1e-9) from earlier ones along a random
+    direction and along each coordinate, and rows that tie on a coordinate
+    and differ only across it."""
+    dtype = complex if complex_keys else float
+    base = rng.normal(size=(6, 3, d)) * 20 * tol
+    if complex_keys:
+        base = base + 1j * rng.normal(size=(6, 3, d)) * 20 * tol
+    rows = list(base)
+    for src in base[:3]:
+        for axis in range(2 * d if complex_keys else d):
+            step = np.zeros(d, dtype)
+            step[axis % d] = 1j if axis >= d else 1.0
+            for f in (1 - 1e-9, 1 + 1e-9):
+                rows.append(src + f * tol * step)
+        step = rng.normal(size=d) + (1j * rng.normal(size=d) if complex_keys else 0)
+        for f in (1 - 1e-9, 1 + 1e-9, 0.5, 2.0):
+            rows.append(src + f * tol * step / np.linalg.norm(step))
+        # equal on every coordinate but the first or the last, apart there by ~tol
+        for f in (0.999, 1.001):
+            for axis in (0, -1):
+                tied = src.copy()
+                tied[:, axis] += f * tol
+                rows.append(tied)
+    return np.array(rows, dtype)
+
+
+@pytest.mark.parametrize("complex_keys", [False, True])
+@pytest.mark.parametrize("d", [1, 4, 9])
+def test_dedup_window_matches_all_pairs(d, complex_keys):
+    """The sorted-window prefilter keeps what the one-at-a-time loop keeps: at
+    tol (1 -+ 1e-9), for rows tied on the sort coordinate, against keys of
+    an earlier batch, and for an empty batch."""
+    from crchains.groups import _Dedup
+
+    tol = 1e-3
+    rng = np.random.default_rng(d)
+    first, second = _edge_batch(rng, tol, d, complex_keys), _edge_batch(rng, tol, d, complex_keys)
+    # the second batch also holds first-batch rows moved by tol (1 -+ 1e-9)
+    moved = first[: len(second[::3])].copy()
+    moved[:, :, 0] += tol * np.where(np.arange(len(moved)) % 2, 1 + 1e-9, 1 - 1e-9)[:, None]
+    second[::3] = moved
+    batches = [first, first[:0], second]
+    dedup = _Dedup(tol)
+    got = [dedup.keep(batch).tolist() for batch in batches]
+    want = _sequential_keep(batches, tol)
+    assert got == [want[: len(first)], [], want[len(first) :]]
+    # both batches drop some candidates and keep others
+    assert 0 < sum(got[0]) < len(first) and 0 < sum(got[2]) < len(second)
+
+
+@pytest.mark.parametrize("length, n_words", [(8, 194), (10, 403), (12, 814), (16, 3206)])
+def test_word_counts_at_phase_4(length, n_words):
+    assert len(enumerate_words(triangle_group(TriangleParams(3, 3, 4, 4.0)), length)) == n_words
 
 
 def _with_arcs(crown, extra):

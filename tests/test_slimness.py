@@ -150,6 +150,11 @@ class TestSweep:
             rows[0]
         )
 
+    def test_rows_report_thinning(self):
+        """The limit set at phase 4.0 and length 12 outgrows MAX_SCAN_POINTS."""
+        (row,) = sweep(3, 3, 4, [4.0], word_length=12).row_dicts()
+        assert (row["n_points"], row["n_scanned"]) == (538, 400)
+
     def test_json_metadata(self):
         import json
 
@@ -323,19 +328,3 @@ def test_spearman_of_constant_input_is_nan_without_warning():
     # RuntimeWarnings are errors under the pytest configuration
     assert math.isnan(spearman_neg_tau_vs_sup(_rows([1.0, 1.0, 1.0], [0.1, 0.2, 0.3])))
     assert math.isnan(spearman_neg_tau_vs_sup(_rows([1.0, 2.0, 3.0], [0.5, 0.5, 0.5])))
-
-
-def test_import_does_not_load_scipy_stats():
-    """The library needs scipy.spatial, optimize and linalg only."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import crchains
-
-    # the child imports the same crchains as this process
-    path = [str(Path(crchains.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    code = "import crchains, sys; assert 'scipy.stats' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
