@@ -1,14 +1,20 @@
-"""Heisenberg coordinates on the boundary sphere and the angular invariant.
+"""Boundary points, the angular invariant, distances and projections.
 
-A finite boundary point [z, t] has the standard Siegel lift
-(-|z|^2 + it, z, 1); the point at infinity lifts to (1, 0, 0).
+A boundary point is stored as one Siegel lift, its `row`: the standard lift
+(-|z|^2 + it, z, 1) of a finite point [z, t], or (1, 0, 0) for infinity, an
+ordinary point of the sphere.  Every geometric rule reads the row.  The
+Heisenberg coordinates z, t and the flag at_infinity are a view, read for
+display, JSON, equality and the formulas written in those coordinates.  A
+lift whose last entry is below 1e-9 of its norm is viewed as infinity, but
+its row is still the lift of the finite point it is.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,17 +35,32 @@ from .hermitian import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class BoundaryPoint:
-    """A point of S^3: finite Heisenberg coordinates [z, t] or infinity."""
+    """A point of S^3, stored as its Siegel lift `row`; [z, t] or infinity
+    is the view of it.  GeometryError unless the lift is finite."""
 
     z: complex = 0.0
     t: float = 0.0
     at_infinity: bool = False
+    row: tuple = field(init=False, repr=False, compare=False)
+
+    def __init__(self, z: complex = 0.0, t: float = 0.0, at_infinity: bool = False):
+        try:
+            row = (1.0, 0.0, 0.0) if at_infinity else (-abs(z) ** 2 + 1j * t, z, 1.0)
+            finite = cmath.isfinite(row[0])
+        except OverflowError:  # |z| above about 1.3e154
+            finite = False
+        if not finite:
+            raise GeometryError(f"[{z}, {t}] has no finite lift")
+        _set_z(self, z)
+        _set_t(self, t)
+        _set_at_infinity(self, at_infinity)
+        _set_row(self, row)
 
     @property
     def lift(self) -> HVector:
-        return HVector(np.array(_lift_row(self)), Model.SIEGEL)
+        return HVector(np.array(self.row), Model.SIEGEL)
 
     @staticmethod
     def infinity() -> "BoundaryPoint":
@@ -81,24 +102,26 @@ class BoundaryPoint:
 
     @staticmethod
     def from_json(item) -> "BoundaryPoint":
+        """Inverse of `to_json`; GeometryError on anything else."""
         if item == "inf":
             return INFINITY
-        return BoundaryPoint(complex(item["z"][0], item["z"][1]), item["t"])
+        try:
+            (re, im), t = item["z"], item["t"]
+            return BoundaryPoint(complex(re, im), t)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise GeometryError(f"malformed point {item!r}") from exc
 
 
+# the slots' setters: past the frozen __setattr__, faster than object.__setattr__
+_set_z, _set_t, _set_at_infinity, _set_row = (
+    BoundaryPoint.__dict__[f.name].__set__ for f in fields(BoundaryPoint)
+)
 INFINITY = BoundaryPoint.infinity()
 
 
-def _lift_row(p: BoundaryPoint) -> tuple:
-    """Entries of the standard lift of p."""
-    if p.at_infinity:
-        return (1.0, 0.0, 0.0)
-    return (-abs(p.z) ** 2 + 1j * p.t, p.z, 1.0)
-
-
 def lifts(points) -> np.ndarray:
-    """Standard Siegel lifts of boundary points, one row each: (N, 3)."""
-    return np.array([_lift_row(p) for p in points], dtype=complex).reshape(-1, 3)
+    """The rows of boundary points, their Siegel lifts: (N, 3)."""
+    return np.array([p.row for p in points], dtype=complex).reshape(-1, 3)
 
 
 def ball_rows(points) -> np.ndarray:
@@ -110,10 +133,10 @@ def ball_rows(points) -> np.ndarray:
 def points_from_lifts(e: np.ndarray, tol: float = 1e-6) -> list[BoundaryPoint]:
     """`BoundaryPoint.from_lift` on every row of an (N, 3) array of Siegel lifts.
 
-    Raises unless every row is null to within tol (relative residual).  A
-    row is infinity when its last entry is negligible; otherwise t is read
-    off the imaginary part, so a small residual only perturbs, never
-    breaks, the inversion.
+    Raises unless every row is null to within tol (relative residual).  The
+    point of a row e is [e1 / e2, Im(e0 / e2)], t read off the imaginary
+    part, so a small residual only perturbs, never breaks, the inversion.
+    The view reads it as infinity when |e2| <= 1e-9 |e|.
     """
     residual = np.abs(_null_margin(e, _H_SIEGEL))
     bad = np.flatnonzero(residual > tol)
@@ -123,12 +146,21 @@ def points_from_lifts(e: np.ndarray, tol: float = 1e-6) -> list[BoundaryPoint]:
         )
     norm2 = (np.conj(e)[:, None, :] @ e[:, :, None]).real[:, 0, 0]
     at_inf = np.abs(e[:, 2]) <= 1e-9 * np.sqrt(norm2)
-    den = np.where(at_inf, 1.0, e[:, 2])
-    z, t = e[:, 1] / den, (e[:, 0] / den).imag
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # e2 ~ 0
+        z, t = e[:, 1] / e[:, 2], (e[:, 0] / e[:, 2]).imag
     return [
-        INFINITY if inf else BoundaryPoint(zz, tt)
+        _viewed_as_infinity(zz, tt) if inf else BoundaryPoint(zz, tt)
         for inf, zz, tt in zip(at_inf.tolist(), z.tolist(), t.tolist())
     ]
+
+
+def _viewed_as_infinity(z: complex, t: float) -> BoundaryPoint:
+    """INFINITY's view over the lift of [z, t], or over (1, 0, 0) where [z, t]
+    has no finite lift (e2 = 0, or within 1e-154 chordal of infinity)."""
+    p = BoundaryPoint(at_infinity=True)
+    with contextlib.suppress(GeometryError):
+        _set_row(p, BoundaryPoint(z, t).row)
+    return p
 
 
 @dataclass(frozen=True)
@@ -230,11 +262,8 @@ def project_star(
     if e.close_to(a) or e.close_to(b):
         raise GeometryError("projection of an endpoint is undefined")
     g = normalizer_to_standard(a, b)
-    w = e.apply(g)
-    if w.at_infinity:
-        raise GeometryError("degenerate configuration")
-    z1 = -abs(w.z) ** 2 + 1j * w.t
-    res = HVector(np.array([-np.conj(z1), 0.0, 1.0]), Model.SIEGEL)
+    w0 = e.apply(g).row[0]  # of the standard lift (w0, z, 1): e is not b
+    res = HVector(np.array([-np.conj(w0), 0.0, 1.0]), Model.SIEGEL)
     back = g.inverse().apply(res)
     return point_type(back)
 
@@ -257,6 +286,4 @@ def paraboloid_margin(p: BoundaryPoint, alpha: float) -> float:
         raise GeometryError("cone angle must lie in [0, pi/2)")
     if p.at_infinity:
         raise GeometryError("margin is defined for finite points")
-    if p.z == 0 and p.t == 0:
-        return 0.0
     return math.tan(alpha) * abs(p.z) ** 2 - abs(p.t)

@@ -287,10 +287,7 @@ class RCircle:
         return RCircle(GroupElement(np.eye(3), Model.SIEGEL))
 
     def contains(self, p: BoundaryPoint, tol: float = 1e-8) -> bool:
-        q = p.apply(self.frame.inverse())
-        if q.at_infinity:
-            return True
-        return abs(q.z.imag) < tol and abs(q.t) < tol
+        return _real_up_to_scale(p.apply(self.frame.inverse()).row, tol)
 
     def sample(self, n: int) -> "CurveSample":
         """n points [x, 0] with 1e-3 <= |x| <= 1e3 geometrically spaced, then infinity."""
@@ -326,9 +323,20 @@ class CurveSample:
 
     @staticmethod
     def from_json(text: str) -> "CurveSample":
-        data = json.loads(text)
-        pts = [BoundaryPoint.from_json(item) for item in data["points"]]
-        return CurveSample(pts, data["closed"], data["source"])
+        """Inverse of `to_json`; GeometryError on anything else."""
+        try:
+            data = json.loads(text)
+            pts = [BoundaryPoint.from_json(item) for item in data["points"]]
+            closed, source = data["closed"], data["source"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise GeometryError(f"malformed curve sample: {exc!r}") from exc
+        return CurveSample(pts, closed, source)
+
+
+def _real_up_to_scale(row: tuple, tol: float) -> bool:
+    """On the standard R-circle: the lift over its largest entry is real to tol."""
+    big = max(row, key=abs)
+    return all(abs((c / big).imag) < tol for c in row)
 
 
 def foliation_leaf_rcircle(p: BoundaryPoint) -> Arc:
@@ -338,14 +346,10 @@ def foliation_leaf_rcircle(p: BoundaryPoint) -> Arc:
     the circle polar to m hits the R-circle twice, and the leaf is the side
     containing p.
     """
-    # RCircle.standard().contains(p), in closed form
-    tol = 1e-8
-    if p.at_infinity or (abs(p.z.imag) < tol and abs(p.t) < tol):
+    if _real_up_to_scale(p.row, 1e-8):  # RCircle.standard().contains(p)
         raise GeometryError("point lies on the R-circle")
     v = p.lift
-    m = box(v, v.conjugated())
-    if m is None:
-        raise GeometryError("degenerate conjugate pair")
+    m = box(v, v.conjugated())  # not None: off the R-circle, v is not real up to scale
     # Projectively real: rotate the phase away and keep the real part.
     entries = m.entries
     k = int(np.argmax(np.abs(entries)))
@@ -389,20 +393,10 @@ def bent_curve(
         raise GeometryError("bending angle must lie in (0, 2 pi)")
     half = (n - 2) // 2
     radii = np.geomspace(r_range[0], r_range[1], half)
-    e = complex(math.cos(theta), math.sin(theta))
-    branch1 = [BoundaryPoint(float(x), 0.0) for x in radii[::-1]]
-    branch2 = [BoundaryPoint(y * e, 0.0) for y in radii]
+    branch1 = [_branch_point(float(x), 0, theta) for x in radii[::-1]]
+    branch2 = [_branch_point(y, 1, theta) for y in radii]
     pts = branch1 + [BoundaryPoint(0.0, 0.0)] + branch2 + [INFINITY]
     return CurveSample(pts, closed=True, source=f"bent:{float(theta)!r}")
-
-
-def _bent_lifts(x, y, z, t, theta):
-    e = complex(math.cos(theta), math.sin(theta))
-    a = np.array([-(x**2), x, 1], dtype=complex)
-    b = np.array([-(y**2), y * e, 1], dtype=complex)
-    c = np.array([-(z**2), z, 1], dtype=complex)
-    d = np.array([-(t**2), t * e, 1], dtype=complex)
-    return a, b, c, d
 
 
 def bent_certificate(
@@ -419,11 +413,8 @@ def bent_certificate(
         raise GeometryError("half-line parameters must be nonnegative")
     if (x == 0 and z == 0) or (y == 0 and t == 0):
         raise GeometryError("degenerate half-line configuration")
-    a, b, c, d = _bent_lifts(x, y, z, t, theta)
-    va = HVector(a)
-    vb = HVector(b)
-    vc = HVector(c)
-    vd = HVector(d)
+    pts = ((x, 0), (y, 1), (z, 0), (t, 1))  # the circles (x, y) and (z, t)
+    va, vb, vc, vd = (_branch_point(u, branch, theta).lift for u, branch in pts)
     n1 = box(va, vb)
     n2 = box(vc, vd)
     if n1 is None or n2 is None:
@@ -465,13 +456,13 @@ def bent_leaf(p: BoundaryPoint, theta: float) -> Arc:
         raise GeometryError("bending angle outside the foliated range")
     if p.at_infinity:
         raise GeometryError("leaf through infinity is degenerate")
-    vp = p.lift.entries
+    vp = np.array(p.row)
     vp = vp / np.linalg.norm(vp)
 
     def residual_fn(branches):
         def fn(s):
-            a = _branch_point(math.exp(s[0]), branches[0], theta).lift.entries
-            b = _branch_point(math.exp(s[1]), branches[1], theta).lift.entries
+            a = np.array(_branch_point(math.exp(s[0]), branches[0], theta).row)
+            b = np.array(_branch_point(math.exp(s[1]), branches[1], theta).row)
             a = a / np.linalg.norm(a)
             b = b / np.linalg.norm(b)
             det = np.linalg.det(np.column_stack([vp, a, b]))
@@ -500,8 +491,8 @@ def bent_leaf(p: BoundaryPoint, theta: float) -> Arc:
     ]
     for branches, s0 in attempts:
         fn = residual_fn(branches)
-        # hybr may step to log-parameters whose exp or lift norm overflows;
-        # that start has failed, the next one may still converge
+        # hybr may step to log-parameters whose exp or lift overflows, or to
+        # NaN; that start has failed, the next one may still converge
         try:
             with np.errstate(over="raise"):
                 sol = root(fn, s0, method="hybr", tol=1e-12)
@@ -510,7 +501,7 @@ def bent_leaf(p: BoundaryPoint, theta: float) -> Arc:
                 continue
             a = _branch_point(math.exp(sol.x[0]), branches[0], theta)
             b = _branch_point(math.exp(sol.x[1]), branches[1], theta)
-        except (OverflowError, FloatingPointError):
+        except (OverflowError, FloatingPointError, GeometryError):
             continue
         if a.close_to(b, 1e-10):
             continue
@@ -633,10 +624,7 @@ def flow_point(
         if p.close_to(q, 1e-12):
             raise GeometryError("flow point needs three distinct points")
     g = normalizer_to_standard(x, y)
-    w = z.apply(g)
-    if w.at_infinity:
-        raise GeometryError("unexpected normalization failure")
-    zeta = abs(complex(-abs(w.z) ** 2, -w.t))
+    zeta = abs(z.apply(g).row[0])  # finite: z is not y
     if zeta == 0:
         raise GeometryError("projection foot is degenerate")
     p_norm = BoundaryPoint(0.0, zeta)

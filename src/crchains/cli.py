@@ -73,7 +73,7 @@ def cmd_cartan(args) -> int:
         r, tokens = _parse_point(tokens)
         if tokens:
             raise ValueError(f"trailing arguments {tokens}")
-    except ValueError as exc:
+    except (ValueError, GeometryError) as exc:  # a point without a finite lift
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     val = cartan(p, q, r)
@@ -223,7 +223,7 @@ def cmd_foliation(args) -> int:
         p, rest = _parse_point(list(args.coords))
         if rest:
             raise ValueError(f"trailing arguments {rest}")
-    except ValueError as exc:
+    except (ValueError, GeometryError) as exc:  # a point without a finite lift
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -1,9 +1,12 @@
 """Boundary points, the angular invariant, projections."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crchains.boundary import (
     INFINITY,
@@ -17,8 +20,11 @@ from crchains.boundary import (
     project_tangent,
     project_to_line,
 )
+from crchains.circles import RCircle
+from crchains.groups import diagonal_loxodromic, heisenberg_translation, screw_parabolic
 from crchains.hermitian import (
     GeometryError,
+    GroupElement,
     HVector,
     Model,
     PointType,
@@ -289,3 +295,69 @@ def test_cartan_matches_pairwise_reference():
         assert abs(val.angle - angle) <= 1e-14
         flags.add(degenerate)
     assert flags == {True, False}
+
+
+class TestStoredLift:
+    """Each point stores its Siegel lift and every geometric rule reads it;
+    [z, t] and infinity are a view with a 1e-9 rule that moves no point."""
+
+    @pytest.mark.parametrize(
+        "p, g",
+        [
+            (BoundaryPoint(1e5j, 0), GroupElement(np.eye(3))),
+            (BoundaryPoint(math.exp(20), 0.0), RCircle.standard().frame),
+        ],
+    )
+    def test_large_point_keeps_its_place(self, p, g):
+        q = p.apply(g)
+        assert q.at_infinity  # the view's 1e-9 rule
+        assert q.chordal(p) < 1e-12  # p itself is 4.1e-9 from infinity, or farther
+
+    def test_large_point_off_the_rcircle(self):
+        assert not RCircle.standard().contains(BoundaryPoint(1e5j, 0))
+        assert RCircle.standard().contains(BoundaryPoint(math.exp(20), 0.0))
+
+    def test_rounded_infinities(self):
+        # b's image under the normalizer is infinity up to rounding: viewed
+        # as infinity, and its lift is within 1e-11 chordal of it
+        for _ in range(200):
+            a, b = rand_point(), rand_point()
+            w = b.apply(normalizer_to_standard(a, b))
+            assert w.at_infinity and w.chordal(INFINITY) < 1e-11
+
+    @pytest.mark.parametrize(
+        "z, t", [(1e200, 0.0), (2e154j, 0.0), (math.nan, 0.0), (0.0, math.inf), (1j, math.nan)]
+    )
+    def test_point_without_finite_lift(self, z, t):
+        with pytest.raises(GeometryError, match="no finite lift"):
+            BoundaryPoint(z, t)
+
+
+_ELEMENTS = st.one_of(
+    st.just(GroupElement(np.eye(3))),
+    st.builds(
+        diagonal_loxodromic,
+        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+        st.floats(-1.5, 1.5),
+    ),
+    st.builds(
+        heisenberg_translation,
+        st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+        st.floats(-10.0, 10.0),
+    ),
+    st.builds(screw_parabolic, st.floats(-math.pi, math.pi), st.floats(-10.0, 10.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    g=_ELEMENTS,
+    log_r=st.floats(-6.0, 8.0),
+    arg=st.floats(-math.pi, math.pi),
+    t_ratio=st.floats(-2.0, 2.0),
+)
+def test_apply_round_trip(g, log_r, arg, t_ratio):
+    """p.apply(g).apply(g^-1) is p to 1e-12 chordal, far out in [z, t] too."""
+    r = 10.0**log_r
+    p = BoundaryPoint(r * cmath.exp(1j * arg), t_ratio * r * r)
+    assert p.apply(g).apply(g.inverse()).chordal(p) < 1e-12

@@ -2,10 +2,12 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from crchains import circles
 from crchains.boundary import INFINITY, BoundaryPoint, cartan
 from crchains.circles import (
     Arc,
@@ -250,6 +252,14 @@ class TestRCircleFoliation:
         rc = RCircle.standard()
         assert rc.contains(leaf.start) and rc.contains(leaf.end)
 
+    def test_moved_rcircle_contains_its_sample(self):
+        # [x, 0] with |x| up to 1e3 and the image of infinity, each moved by
+        # the frame and back: on the circle up to rounding, which grows
+        # with |x|^2 in t
+        for _ in range(5):
+            rc = RCircle(random_form_preserving(RNG))
+            assert all(rc.contains(p) for p in rc.sample(20).points)
+
     def test_on_circle_point_rejected(self):
         with pytest.raises(GeometryError):
             foliation_leaf_rcircle(BoundaryPoint(1.0, 0.0))
@@ -354,6 +364,25 @@ class TestBentLeaf:
             ang = np.angle(e.z) % (2 * math.pi)
             assert min(abs(ang), abs(ang - theta)) < 1e-7
 
+    @pytest.mark.parametrize("bad", [[math.nan, 0.0], [400.0, 0.0]])
+    def test_start_without_finite_lift_is_skipped(self, monkeypatch, bad):
+        # the first start steps to NaN, or to a radius e^400 whose lift
+        # overflows; the next start converges
+        from scipy.optimize import root as solve
+
+        calls = []
+
+        def root(fn, x0, **kwargs):
+            calls.append(x0)
+            if len(calls) == 1:
+                return SimpleNamespace(x=np.array(bad))
+            return solve(fn, x0, **kwargs)
+
+        monkeypatch.setattr(circles, "root", root)
+        p = BoundaryPoint(0.5 + 0.8j, 0.3)
+        leaf = bent_leaf(p, 3 * math.pi / 4)
+        assert len(calls) > 1 and leaf.contains(p, tol=1e-6)
+
     def test_close_in_starts_catch_wide_start_failures(self):
         # every one of the 24 wide starts fails here; a close-in start
         # around log|z| converges
@@ -410,6 +439,25 @@ class TestCurveSampleJson:
         c = RCircle.standard().sample(10)
         data = json.loads(c.to_json())
         assert "inf" in data["points"]
+
+
+@pytest.mark.parametrize(
+    "read, payload",
+    [
+        (BoundaryPoint.from_json, {"z": [1, 2]}),
+        (BoundaryPoint.from_json, "infinity"),
+        (BoundaryPoint.from_json, {"z": [1], "t": 0}),
+        (BoundaryPoint.from_json, {"z": [1e200, 0], "t": 0}),
+        (BoundaryPoint.from_json, {"z": ["a", 0], "t": 0}),
+        (CurveSample.from_json, "{"),
+        (CurveSample.from_json, '{"points": []}'),
+        (CurveSample.from_json, "[]"),
+        (CurveSample.from_json, '{"points": ["infinity"], "closed": true, "source": "s"}'),
+    ],
+)
+def test_malformed_json_is_a_geometry_error(read, payload):
+    with pytest.raises(GeometryError):
+        read(payload)
 
 
 class TestMobiusSample:

@@ -32,6 +32,12 @@ class TestCartanCommand:
         assert code == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("point", [["1e200", "0", "0"], ["nan", "0", "0"], ["0", "0", "inf"]])
+    def test_point_without_finite_lift(self, capsys, point):
+        code = main(["cartan", *point, "0", "0", "0", "1", "0", "1"])
+        assert code == 2
+        assert "usage error" in capsys.readouterr().err
+
     def test_trailing_arguments(self, capsys):
         code = main(
             ["cartan", "inf", "0", "0", "0", "1", "0", "1", "9"]
@@ -294,6 +300,11 @@ class TestFoliationCommand:
     def test_usage_error(self, capsys):
         code = main(["foliation", "rcircle", "1", "0"])
         assert code == 2
+
+    def test_point_without_finite_lift(self, capsys):
+        code = main(["foliation", "rcircle", "1e200", "1", "0"])
+        assert code == 2
+        assert "usage error" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):
