@@ -2,17 +2,16 @@
 
 A boundary point is stored as one Siegel lift, its `row`: the standard lift
 (-|z|^2 + it, z, 1) of a finite point [z, t], or (1, 0, 0) for infinity, an
-ordinary point of the sphere.  Every geometric rule reads the row.  The
-Heisenberg coordinates z, t and the flag at_infinity are a view, read for
-display, JSON, equality and the formulas written in those coordinates.  A
-lift whose last entry is below 1e-9 of its norm is viewed as infinity, but
-its row is still the lift of the finite point it is.
+ordinary point of the sphere.  Every geometric rule, `==`, `hash` and JSON
+read the row; the Heisenberg coordinates z and t are read off it.  The flag
+at_infinity records that a point was computed from a lift whose last entry
+is below 1e-9 of its norm; only `str` and the formulas written in
+Heisenberg coordinates read it.
 """
 
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 from dataclasses import dataclass, field, fields
 
@@ -27,7 +26,9 @@ from .hermitian import (
     ProjectivePoint,
     _CAYLEY,
     _H_SIEGEL,
+    _HUGE,
     _null_margin,
+    _tame,
     box,
     cayley,
     herm_inner,
@@ -37,34 +38,36 @@ from .hermitian import (
 
 @dataclass(frozen=True, init=False, slots=True)
 class BoundaryPoint:
-    """A point of S^3, stored as its Siegel lift `row`; [z, t] or infinity
-    is the view of it.  GeometryError unless the lift is finite."""
+    """A point of S^3, stored as its Siegel lift `row`; GeometryError unless finite."""
 
-    z: complex = 0.0
-    t: float = 0.0
-    at_infinity: bool = False
-    row: tuple = field(init=False, repr=False, compare=False)
+    row: tuple
+    at_infinity: bool = field(default=False, compare=False)
 
-    def __init__(self, z: complex = 0.0, t: float = 0.0, at_infinity: bool = False):
+    def __init__(self, z: complex = 0.0, t: float = 0.0):
         try:
-            row = (1.0, 0.0, 0.0) if at_infinity else (-abs(z) ** 2 + 1j * t, z, 1.0)
+            # complex(re, t), not re + 1j * t, keeps a zero t's sign; 0.0 * t keeps
+            # re's bits and makes the lift of a non-finite t non-finite
+            row = (complex(-abs(z) ** 2 + 0.0 * t, t), z, 1.0)
             finite = cmath.isfinite(row[0])
         except OverflowError:  # |z| above about 1.3e154
             finite = False
         if not finite:
             raise GeometryError(f"[{z}, {t}] has no finite lift")
-        _set_z(self, z)
-        _set_t(self, t)
-        _set_at_infinity(self, at_infinity)
         _set_row(self, row)
+        _set_at_infinity(self, False)
+
+    z = property(lambda self: self.row[1], doc="Heisenberg z, read off the row.")
+    t = property(lambda self: self.row[0].imag, doc="Heisenberg t, read off the row.")
 
     @property
     def lift(self) -> HVector:
-        return HVector(np.array(self.row), Model.SIEGEL)
+        v = np.array(self.row)
+        # a row's largest entry past 1 is row[0]: one abs finds a row to tame
+        return HVector(_tame(v) if abs(self.row[0]) > _HUGE else v, Model.SIEGEL)
 
     @staticmethod
     def infinity() -> "BoundaryPoint":
-        return BoundaryPoint(at_infinity=True)
+        return INFINITY
 
     @staticmethod
     def from_lift(v: HVector, tol: float = 1e-6) -> "BoundaryPoint":
@@ -95,10 +98,11 @@ class BoundaryPoint:
         return f"[{self.z:.6g}, {self.t:.6g}]"
 
     def to_json(self):
-        """JSON form: "inf" or {"z": [re, im], "t": t}."""
-        if self.at_infinity:
+        """JSON form: "inf" for the row (1, 0, 0), else {"z": [re, im], "t": t}."""
+        w, z, e2 = self.row
+        if not e2:  # (1, 0, 0) is the one row with e2 = 0
             return "inf"
-        return {"z": [self.z.real, self.z.imag], "t": self.t}
+        return {"z": [z.real, z.imag], "t": w.imag}
 
     @staticmethod
     def from_json(item) -> "BoundaryPoint":
@@ -113,10 +117,12 @@ class BoundaryPoint:
 
 
 # the slots' setters: past the frozen __setattr__, faster than object.__setattr__
-_set_z, _set_t, _set_at_infinity, _set_row = (
+_set_row, _set_at_infinity = (
     BoundaryPoint.__dict__[f.name].__set__ for f in fields(BoundaryPoint)
 )
-INFINITY = BoundaryPoint.infinity()
+INFINITY = object.__new__(BoundaryPoint)
+_set_row(INFINITY, (1.0, 0.0, 0.0))
+_set_at_infinity(INFINITY, True)
 
 
 def lifts(points) -> np.ndarray:
@@ -136,7 +142,7 @@ def points_from_lifts(e: np.ndarray, tol: float = 1e-6) -> list[BoundaryPoint]:
     Raises unless every row is null to within tol (relative residual).  The
     point of a row e is [e1 / e2, Im(e0 / e2)], t read off the imaginary
     part, so a small residual only perturbs, never breaks, the inversion.
-    The view reads it as infinity when |e2| <= 1e-9 |e|.
+    Rows with |e2| <= 1e-9 |e| are flagged at_infinity.
     """
     residual = np.abs(_null_margin(e, _H_SIEGEL))
     bad = np.flatnonzero(residual > tol)
@@ -148,19 +154,17 @@ def points_from_lifts(e: np.ndarray, tol: float = 1e-6) -> list[BoundaryPoint]:
     at_inf = np.abs(e[:, 2]) <= 1e-9 * np.sqrt(norm2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # e2 ~ 0
         z, t = e[:, 1] / e[:, 2], (e[:, 0] / e[:, 2]).imag
-    return [
-        _viewed_as_infinity(zz, tt) if inf else BoundaryPoint(zz, tt)
-        for inf, zz, tt in zip(at_inf.tolist(), z.tolist(), t.tolist())
-    ]
-
-
-def _viewed_as_infinity(z: complex, t: float) -> BoundaryPoint:
-    """INFINITY's view over the lift of [z, t], or over (1, 0, 0) where [z, t]
-    has no finite lift (e2 = 0, or within 1e-154 chordal of infinity)."""
-    p = BoundaryPoint(at_infinity=True)
-    with contextlib.suppress(GeometryError):
-        _set_row(p, BoundaryPoint(z, t).row)
-    return p
+    points = []
+    for inf, zz, tt in zip(at_inf.tolist(), z.tolist(), t.tolist()):
+        try:
+            p = BoundaryPoint(zz, tt)
+        except GeometryError:
+            if not inf:
+                raise
+            p = INFINITY  # e2 = 0, or within 1e-154 chordal of infinity
+        _set_at_infinity(p, inf)
+        points.append(p)
+    return points
 
 
 @dataclass(frozen=True)
@@ -180,7 +184,7 @@ def cartan(p: BoundaryPoint, q: BoundaryPoint, r: BoundaryPoint) -> CartanValue:
     Zero with the degenerate flag when two of the points coincide.  The
     one-triple case of the Gram rule `cartan_lifts`.
     """
-    v = lifts((p, q, r))
+    v = _tame(lifts((p, q, r)))
     h = cartan_lifts(v)
     prod = complex(-h[0, 1] * h[1, 2] * h[2, 0])
     if abs(prod) < 1e-12 * float(np.prod((np.conj(v) * v).real.sum(axis=1))):

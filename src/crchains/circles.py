@@ -48,6 +48,7 @@ from .hermitian import (
     _null_margin,
     _point_kinds,
     _proportional,
+    _tame,
     box,
     cayley,
     herm_inner,
@@ -207,7 +208,7 @@ class Arc:
         selects the side: positive parameters are on this arc.  The far
         endpoint is |c0 a| < 1e-12 |c1 b|: |<v, b>| |a| < 1e-12 |<v, a>| |b|.
         """
-        e = lifts((self.start, self.end, p))
+        e = _tame(lifts((self.start, self.end, p)))
         a, b, v = e
         va, vb, ab = _herm(e[[2, 2, 0]], e[[0, 1, 1]], _H_SIEGEL).tolist()
         n = _cross3(a, b)
@@ -556,7 +557,8 @@ def min_collinearity(lifts: np.ndarray) -> tuple[float, tuple[int, int, int]]:
 
     A zero value witnesses three points on a common complex line.
     """
-    unit = lifts / np.linalg.norm(lifts, axis=1)[:, None]
+    v = _tame(lifts)
+    unit = v / np.linalg.norm(v, axis=1)[:, None]
     return best_triple(len(unit), lambda j: _det_block(unit, j), sign=-1)
 
 
@@ -573,7 +575,7 @@ def mobius_sample(sample: CurveSample) -> tuple[list[ProjectivePoint], float]:
     between the two complex lines, so it does not depend on the phase of
     either lift.
     """
-    v = lifts(sample.points)
+    v = _tame(lifts(sample.points))
     unit = v / np.linalg.norm(v, axis=1)[:, None]
     sep = np.linalg.norm(_cross3(unit[:, None, :], unit[None, :, :]), axis=-1)
 

@@ -16,12 +16,13 @@ from typing import Callable
 
 import numpy as np
 
-from .boundary import BoundaryPoint, ball_rows, lifts, points_from_lifts
+from .boundary import INFINITY, BoundaryPoint, ball_rows, lifts, points_from_lifts
 from .circles import (
     Arc,
     ArcRelation,
     CircleRelation,
     CurveSample,
+    _real_up_to_scale,
     arcs_intersect,
     circle_relations,
     spiral_point,
@@ -47,6 +48,7 @@ from .hermitian import (
     _box,
     _classify_rows,
     _herm,
+    _tame,
     _unit_det,
 )
 
@@ -184,17 +186,29 @@ def embeddedness(crown: Crown) -> EmbeddednessReport:
 def _curve_fn_from_sample(sample: CurveSample) -> Callable[[float], BoundaryPoint]:
     """The exact curve behind a sample, as a map of a signed coordinate s.
 
-    Only the sample's source tag is read: spiral samples map s to the
-    spiral point, R-circle samples map s to [sign(s) e^|s|, 0].  The
-    stored points are not used.
+    The source tag names the curve: spiral samples map s to the spiral
+    point, R-circle samples map s to [sign(s) e^|s|, 0].  GeometryError
+    unless every finite sample point lies on that curve, so that a sample
+    moved by an isometry is not analysed as the curve its tag still names.
     """
     src = sample.source
     if src.startswith("spiral:"):
         a = float(src.split(":", 1)[1])
-        return lambda s: spiral_point(a, s)
-    if src.startswith("r-circle"):
-        return lambda s: BoundaryPoint(math.copysign(math.exp(abs(s)), s), 0.0)
-    raise GeometryError(f"no continuous parametrization for source {src!r}")
+        curve, on_curve = (
+            lambda s: spiral_point(a, s),
+            lambda p: abs(p.t - 3 * a * abs(p.z) ** 2) <= 1e-9 * max(1.0, abs(p.t)),
+        )
+    elif src.startswith("r-circle"):
+        curve, on_curve = (
+            lambda s: BoundaryPoint(math.copysign(math.exp(abs(s)), s), 0.0),
+            lambda p: _real_up_to_scale(p.row, 1e-8),
+        )
+    else:
+        raise GeometryError(f"no continuous parametrization for source {src!r}")
+    off = next((p for p in sample.points if p != INFINITY and not on_curve(p)), None)
+    if off is not None:
+        raise GeometryError(f"sample point {off} is off the curve {src!r}")
+    return curve
 
 
 def crossing_detector(
@@ -202,7 +216,8 @@ def crossing_detector(
 ) -> list[tuple[Arc, Arc, BoundaryPoint]]:
     """C-circles through symmetric curve points that cross the axis arc.
 
-    Only the sample's source tag is used: it names the exact curve.  For
+    The sample's source tag names the exact curve, and every finite sample
+    point must lie on it (`_curve_fn_from_sample`).  For
     each s the chord circle joins curve(-s) and curve(s); the real
     certificate f(s) is the Hermitian square of the box product of the
     chord polar with the axis polar.  Sign changes of f on the grid bracket
@@ -218,8 +233,8 @@ def crossing_detector(
         """Certificate at every s of an array, or at one s."""
         ss = np.ravel(s).tolist()
         # curve(-s) and curve(s) are distinct for s > 0: every chord exists
-        a = lifts([curve(-x) for x in ss])
-        chord = _box(a, lifts([curve(x) for x in ss]), _H_SIEGEL_INV)
+        a = _tame(lifts([curve(-x) for x in ss]))
+        chord = _box(a, _tame(lifts([curve(x) for x in ss])), _H_SIEGEL_INV)
         w = _box(chord, n_axis, _H_SIEGEL_INV)
         scale = np.linalg.norm(chord, axis=-1) ** 2 * np.linalg.norm(n_axis) ** 2
         return (_herm(w, w, _H_SIEGEL).real / scale).reshape(np.shape(s))

@@ -161,6 +161,21 @@ def _null_margin(v: np.ndarray, j: np.ndarray) -> np.ndarray:
     return (vc @ (j @ vv)).real[..., 0, 0] / (vc @ vv).real[..., 0, 0]
 
 
+# Rows with an entry above 2^160 are scaled down before a rule multiplies
+# them: the products of three Gram entries that the Cartan rules form then
+# stay finite (below 2^968) for every point with a finite lift.
+_HUGE = 2.0**160
+
+
+def _tame(v: np.ndarray) -> np.ndarray:
+    """Rows of v with an entry above 2^160 scaled by an exact power of two to
+    a largest entry in [0.5, 1); v itself, bits kept, when there is none."""
+    if not np.maximum.reduce(np.absolute(v), None) > _HUGE:  # faster than .max()
+        return v
+    big = np.abs(v).max(axis=-1, keepdims=True)
+    return v * np.ldexp(1.0, np.where(big > _HUGE, -np.frexp(big)[1], 0))
+
+
 def herm_inner(a: HVector, b: HVector) -> complex:
     """Hermitian product <a, b> = b^dagger J a."""
     model = _check_models(a, b)

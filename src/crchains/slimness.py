@@ -24,7 +24,7 @@ from .groups import (
     screw_parabolic,
     triangle_group,
 )
-from .hermitian import TOL_LIMIT, GeometryError
+from .hermitian import TOL_LIMIT, GeometryError, _tame
 
 MAX_SCAN_POINTS = 400
 
@@ -121,7 +121,7 @@ def sup_cartan(sample, refine: bool = False) -> SlimnessReport:
         sel = np.linspace(0, len(pts) - 1, MAX_SCAN_POINTS).astype(int)
         pts = [pts[i] for i in sel]
     n = len(pts)
-    h = cartan_lifts(lifts(pts))
+    h = cartan_lifts(_tame(lifts(pts)))
     best, witness = best_triple(n, lambda j: _abs_cartan_block(h, j))
     n_triples = n * (n - 1) * (n - 2) // 6
     triple = (pts[witness[0]], pts[witness[1]], pts[witness[2]])

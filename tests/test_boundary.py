@@ -1,6 +1,7 @@
 """Boundary points, the angular invariant, projections."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from crchains.boundary import (
     project_tangent,
     project_to_line,
 )
-from crchains.circles import RCircle
+from crchains.circles import CurveSample, RCircle, ccircle_through, tangent_polar
 from crchains.groups import diagonal_loxodromic, heisenberg_translation, screw_parabolic
 from crchains.hermitian import (
     GeometryError,
@@ -361,3 +362,145 @@ def test_apply_round_trip(g, log_r, arg, t_ratio):
     r = 10.0**log_r
     p = BoundaryPoint(r * cmath.exp(1j * arg), t_ratio * r * r)
     assert p.apply(g).apply(g.inverse()).chordal(p) < 1e-12
+
+
+class TestRowIsThePoint:
+    """A point is its row: z and t are read off it, ==, hash and JSON follow
+    it, and at_infinity only records how the point was made."""
+
+    def test_fields(self):
+        from dataclasses import fields
+
+        assert [f.name for f in fields(BoundaryPoint)] == ["row", "at_infinity"]
+        p = BoundaryPoint(2 - 1j, 0.5)
+        assert p.z is p.row[1] and p.t == p.row[0].imag == 0.5
+
+    def test_equal_rows_are_equal_points(self):
+        p = BoundaryPoint(1e5j, 0)
+        q = p.apply(GroupElement(np.eye(3)))
+        assert q.at_infinity and not p.at_infinity
+        assert q == p and hash(q) == hash(p)
+
+    def test_curve_sample_json_keeps_a_far_point(self):
+        far = BoundaryPoint(1e5j, 0).apply(GroupElement(np.eye(3)))
+        sample = CurveSample([BoundaryPoint(0, 0), far], closed=False, source="x")
+        back = CurveSample.from_json(sample.to_json())
+        assert back.points[-1].chordal(far) == 0.0
+        assert back.points[-1] == far
+
+    def test_signed_zero_t_in_json(self):
+        assert math.copysign(1.0, BoundaryPoint(1.0, -0.0).to_json()["t"]) == -1.0
+        assert INFINITY.to_json() == "inf" and BoundaryPoint.infinity() is INFINITY
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    g=_ELEMENTS,
+    log_r=st.floats(-6.0, 8.0),
+    arg=st.floats(-math.pi, math.pi),
+    t_ratio=st.floats(-2.0, 2.0),
+    a=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+)
+def test_json_round_trip_keeps_the_row(g, log_r, arg, t_ratio, a):
+    """from_json(p.to_json()) has p's row, bit for bit, for images of points
+    under isometries and for rounded infinities."""
+    r = 10.0**log_r
+    q = BoundaryPoint(r * cmath.exp(1j * arg), t_ratio * r * r).apply(g)
+    base = BoundaryPoint(complex(a[0], a[1]), a[2])
+    images = [q]
+    if base.chordal(q) > 1e-2:  # nearer, the normalizer's image is not null to 1e-6
+        images.append(q.apply(normalizer_to_standard(base, q)))  # infinity, rounded
+    for p in images:
+        back = BoundaryPoint.from_json(json.loads(json.dumps(p.to_json())))
+        assert back.row == p.row
+        assert np.array(back.row).tobytes() == np.array(p.row).tobytes()
+
+
+class TestHugeRows:
+    """Points with |z| up to the 1.3e154 where the lift overflows work in
+    every rule: rows past 2^160 are scaled by a power of two first."""
+
+    def test_tangent_polar(self):
+        assert tangent_polar(BoundaryPoint(1e80, 0)).point_type is PointType.NULL
+
+    def test_cartan(self):
+        val = cartan(BoundaryPoint(0, 0), BoundaryPoint(1, 1), BoundaryPoint(1e80, 0))
+        assert val.angle == pytest.approx(
+            cartan(BoundaryPoint(0, 0), BoundaryPoint(1, 1), INFINITY).angle, abs=1e-15
+        )
+
+    def test_three_far_points(self):
+        # rows of 1e118, whose three Gram entries multiply to 1e354
+        pts = [BoundaryPoint(1e59, 0), BoundaryPoint(1e59j, 0), BoundaryPoint(-1e59, 1)]
+        assert cartan(*pts).angle == _mp_cartan([(p.z, p.t) for p in pts])
+
+    def test_ordinary_rows_keep_their_bits(self):
+        from crchains.hermitian import _tame
+
+        v = np.array([[2.0**160, 1e40j, 1.0], [-1e6 + 2j, 3e3, 1.0]])
+        assert _tame(v) is v
+        big = v * 2.0
+        tamed = _tame(big)
+        assert tamed[1].tobytes() == big[1].tobytes()
+        assert tamed[0].tobytes() == (big[0] * 2.0**-162).tobytes()
+        assert np.abs(tamed[0]).max() == 0.5
+
+
+def _mp_cartan(points):
+    """cartan's rule on three finite points at 50 digits: the phase of
+    -<p,q><q,r><r,p>, or 0.0 where it is below 1e-12 of the lift norms."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        v = [
+            (mpmath.mpc(-(abs(mpmath.mpc(z)) ** 2), t), mpmath.mpc(z), mpmath.mpc(1))
+            for z, t in points
+        ]
+
+        def inner(a, b):  # <a, b> = b^dagger J a, J = antidiag(1, 2, 1)
+            c = mpmath.conj
+            return c(b[0]) * a[2] + 2 * c(b[1]) * a[1] + c(b[2]) * a[0]
+
+        prod = -inner(v[0], v[1]) * inner(v[1], v[2]) * inner(v[2], v[0])
+        scale = mpmath.fprod(sum(abs(c) ** 2 for c in row) for row in v)
+        return 0.0 if abs(prod) < 1e-12 * scale else float(mpmath.arg(prod))
+
+
+_ZT = st.tuples(
+    st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)
+).map(lambda c: (complex(c[0], c[1]), c[2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_r=st.floats(70.0, 150.0),
+    arg=st.floats(-math.pi, math.pi),
+    t=st.floats(-1e3, 1e3),
+    q=_ZT,
+    r=_ZT,
+    slot=st.integers(0, 2),
+    g=_ELEMENTS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_far_points_in_every_rule(log_r, arg, t, q, r, slot, g, seed):
+    """Points with |z| in [1e70, 1e150]: only GeometryError escapes, cartan
+    agrees with 50 digits and apply round trips to 1e-12 chordal."""
+    far = (10.0**log_r * cmath.exp(1j * arg), t)
+    triple = [q, r]
+    triple.insert(slot, far)
+    pts = [BoundaryPoint(z, tt) for z, tt in triple]
+    p, other = pts[slot], pts[slot - 1]
+    try:
+        val = cartan(*pts)
+        # the two finite points 1e-3 apart: nearer, the float Gram product
+        # loses the digits the 1e-9 comparison needs, far point or not
+        if pts[slot - 1].chordal(pts[slot - 2]) > 1e-3:
+            assert val.angle == pytest.approx(_mp_cartan(triple), abs=1e-9)
+        assert p.apply(g).apply(g.inverse()).chordal(p) < 1e-12
+        assert 0.0 <= p.chordal(other) <= 2.0
+        circle = ccircle_through(p, other)
+        assert circle.contains(p) and circle.contains(other)
+        RCircle(random_form_preserving(np.random.default_rng(seed))).contains(p)
+        assert RCircle.standard().contains(BoundaryPoint(abs(p.z), 0.0))
+    except GeometryError:
+        pass

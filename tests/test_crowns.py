@@ -12,6 +12,7 @@ from crchains.boundary import BoundaryPoint, INFINITY
 from crchains.circles import (
     Arc,
     ArcRelation,
+    CurveSample,
     RCircle,
     arcs_intersect,
     foliation_leaf_rcircle,
@@ -348,3 +349,29 @@ def test_crossing_grid_matches_per_point_reference(a, monkeypatch):
         assert axis == ref_axis
         for q, ref_q in ((chord.start, ref_chord.start), (chord.end, ref_chord.end), (p, ref_p)):
             assert q.chordal(ref_q) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "moved",
+    [
+        lambda g: RCircle(g).sample(100),
+        lambda g: CurveSample(
+            [p.apply(g) for p in spiral_curve(0.3).points], closed=False, source="spiral:0.3"
+        ),
+    ],
+    ids=["r-circle", "spiral"],
+)
+def test_crossing_detector_refuses_a_moved_sample(moved):
+    """A sample moved off the curve its tag names is refused, not analysed
+    as that curve."""
+    sample = moved(random_form_preserving(np.random.default_rng(7)))
+    with pytest.raises(GeometryError, match="off the curve"):
+        crossing_detector(sample, diagonal_loxodromic(1 + 0.3j, 1.0))
+
+
+def test_crossing_detector_far_range():
+    """s up to 300 puts sample rows near 1e260: no rule overflows."""
+    g = diagonal_loxodromic(1 + 0.3j, 1.0)
+    assert len(crossing_detector(spiral_curve(0.3), g, s_range=(0.0, 300.0))) >= 3
+    control = RCircle.standard().sample(100)
+    assert crossing_detector(control, diagonal_loxodromic(1.0, 1.0), s_range=(0.0, 300.0)) == []
