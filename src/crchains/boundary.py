@@ -26,6 +26,7 @@ from .hermitian import (
     ProjectivePoint,
     _CAYLEY,
     _H_SIEGEL,
+    _H_SIEGEL_INV,
     _HUGE,
     _null_margin,
     _tame,
@@ -63,7 +64,7 @@ class BoundaryPoint:
     def lift(self) -> HVector:
         v = np.array(self.row)
         # a row's largest entry past 1 is row[0]: one abs finds a row to tame
-        return HVector(_tame(v) if abs(self.row[0]) > _HUGE else v, Model.SIEGEL)
+        return HVector(_tame(v) if abs(self.row[0]) > _HUGE else v)
 
     @staticmethod
     def infinity() -> "BoundaryPoint":
@@ -78,7 +79,7 @@ class BoundaryPoint:
         return points_from_lifts(cayley(v, Model.SIEGEL).entries[None], tol)[0]
 
     def apply(self, g: GroupElement) -> "BoundaryPoint":
-        return BoundaryPoint.from_lift(g.apply(cayley(self.lift, g.model)))
+        return points_from_lifts((g.matrix @ self.lift.entries)[None])[0]
 
     def ball_coords(self) -> np.ndarray:
         """Affine ball-model coordinates (z1, z2) on the unit sphere of C^2."""
@@ -181,15 +182,16 @@ class CartanValue:
 def cartan(p: BoundaryPoint, q: BoundaryPoint, r: BoundaryPoint) -> CartanValue:
     """Angular invariant arg(-<p,q><q,r><r,p>) of a boundary triple.
 
-    Zero with the degenerate flag when two of the points coincide.  The
-    one-triple case of the Gram rule `cartan_lifts`.
+    Zero with the degenerate flag when two of the points coincide: some
+    |<v_i, v_j>| is at most 1e-12 times the size of its three terms, the
+    Gram rule on |v|, a test that Heisenberg dilations leave unchanged.
+    The one-triple case of the Gram rule `cartan_lifts`.
     """
     v = _tame(lifts((p, q, r)))
-    h = cartan_lifts(v)
-    prod = complex(-h[0, 1] * h[1, 2] * h[2, 0])
-    if abs(prod) < 1e-12 * float(np.prod((np.conj(v) * v).real.sum(axis=1))):
+    h, size = cartan_lifts(v), cartan_lifts(np.abs(v))
+    if any(abs(h[i, j]) <= 1e-12 * size[i, j] for i, j in ((0, 1), (1, 2), (2, 0))):
         return CartanValue(0.0, degenerate=True)
-    return CartanValue(cmath.phase(prod))
+    return CartanValue(cmath.phase(complex(-h[0, 1] * h[1, 2] * h[2, 0])))
 
 
 def cartan_lifts(lifts: np.ndarray) -> np.ndarray:
@@ -197,8 +199,7 @@ def cartan_lifts(lifts: np.ndarray) -> np.ndarray:
 
     Input is an (N, 3) complex array of lifts; used by the triple scans.
     """
-    j = Model.SIEGEL.matrix
-    return lifts @ j @ np.conj(lifts.T)  # H[i, j] = v_j^dagger J v_i
+    return lifts @ _H_SIEGEL @ np.conj(lifts.T)  # H[i, j] = v_j^dagger J v_i
 
 
 def best_triple(n: int, block, sign: int = 1) -> tuple[float, tuple[int, int, int]]:
@@ -248,11 +249,12 @@ def normalizer_to_standard(a: BoundaryPoint, b: BoundaryPoint) -> GroupElement:
     va, vb = a.lift, b.lift
     m = box(va, vb)
     assert m is not None
-    # Columns (b', m', a') of the inverse must frame the Siegel form.
+    # Columns (b', m', a') of the inverse frame the Siegel form, F^dagger J F = J,
+    # so the inverse is J^-1 F^dagger J.
     vb_s = vb.scaled(np.conj(1.0 / herm_inner(va, vb)))
     m_s = m.scaled(1.0 / math.sqrt(m.norm2 / 2.0))
     frame = np.column_stack([vb_s.entries, m_s.entries, va.entries])
-    return GroupElement(np.linalg.inv(frame), Model.SIEGEL)
+    return GroupElement(_H_SIEGEL_INV @ frame.conj().T @ _H_SIEGEL)
 
 
 def project_star(
@@ -267,7 +269,7 @@ def project_star(
         raise GeometryError("projection of an endpoint is undefined")
     g = normalizer_to_standard(a, b)
     w0 = e.apply(g).row[0]  # of the standard lift (w0, z, 1): e is not b
-    res = HVector(np.array([-np.conj(w0), 0.0, 1.0]), Model.SIEGEL)
+    res = HVector(np.array([-np.conj(w0), 0.0, 1.0]))
     back = g.inverse().apply(res)
     return point_type(back)
 

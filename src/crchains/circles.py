@@ -285,7 +285,7 @@ class RCircle:
 
     @staticmethod
     def standard() -> "RCircle":
-        return RCircle(GroupElement(np.eye(3), Model.SIEGEL))
+        return RCircle(GroupElement(np.eye(3)))
 
     def contains(self, p: BoundaryPoint, tol: float = 1e-8) -> bool:
         return _real_up_to_scale(p.apply(self.frame.inverse()).row, tol)

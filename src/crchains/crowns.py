@@ -39,10 +39,8 @@ from .hermitian import (
     GeometryError,
     GroupElement,
     IndeterminateClassError,
-    Model,
     TOL_DEDUP,
     TOL_LIFT,
-    _CAYLEY_INV,
     _H_SIEGEL,
     _H_SIEGEL_INV,
     _box,
@@ -60,7 +58,7 @@ def brentq(f, a, b, **kwargs):
     return solve(f, a, b, **kwargs)
 
 
-def _axis_ends(m: np.ndarray, model: Model = Model.SIEGEL) -> list[BoundaryPoint]:
+def _axis_ends(m: np.ndarray) -> list[BoundaryPoint]:
     """Repelling, then attracting fixed point of each element of a stack.
 
     Raises unless every element is loxodromic.
@@ -74,14 +72,12 @@ def _axis_ends(m: np.ndarray, model: Model = Model.SIEGEL) -> list[BoundaryPoint
             )
         raise GeometryError("axis at infinity requires a loxodromic element")
     fixed = np.stack([repelling, attracting], axis=1).reshape(-1, 3)
-    if model is Model.BALL:  # one row at a time, as `cayley` moves a lift
-        fixed = np.array([_CAYLEY_INV @ v for v in fixed])
     return points_from_lifts(fixed, TOL_LIFT)
 
 
 def axis_at_infinity(g: GroupElement) -> Arc:
     """Arc from the repelling to the attracting fixed point of g."""
-    return Arc(*_axis_ends(g.matrix[None], g.model))
+    return Arc(*_axis_ends(g.matrix[None]))
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from .hermitian import (
     TOL_DEDUP,
     TOL_LIFT,
     TOL_LIMIT,
+    _CAYLEY_INV,
     _H_SIEGEL,
     _classify_rows,
     _null_margin,
@@ -107,18 +108,20 @@ class Representation:
             if i < 0:
                 raise GeometryError(f"{letters!r} is not a word in the letters 1, 2, 3")
             m = m @ self.generators[i].matrix
-        return GroupElement(m, Model.SIEGEL)
+        return GroupElement(m)
 
 
 def complex_reflection(c: ProjectivePoint) -> GroupElement:
-    """Order-two complex reflection fixing the line polar to c pointwise."""
+    """Order-two complex reflection fixing the line polar to c pointwise.
+
+    A ball-model mirror is moved to the Siegel model first.
+    """
     if c.point_type is not PointType.POSITIVE:
         raise GeometryError("reflection mirror must be a positive-type point")
-    v = c.representative
-    j = v.model.matrix
+    v = cayley(c.representative, Model.SIEGEL)
     e = v.entries
-    m = -np.eye(3, dtype=complex) + (2.0 / v.norm2) * np.outer(e, np.conj(e) @ j)
-    return GroupElement(m, v.model)
+    m = -np.eye(3, dtype=complex) + (2.0 / v.norm2) * np.outer(e, np.conj(e) @ _H_SIEGEL)
+    return GroupElement(m)
 
 
 def _scalar_defect(m: np.ndarray) -> float:
@@ -144,11 +147,7 @@ def _realize_gram(g: np.ndarray) -> list[HVector]:
             f"Gram matrix signature is not (2,1): eigenvalues {vals}"
         )
     c = np.diag(np.sqrt(np.abs(vals))) @ np.conj(vecs.T)
-    out = []
-    for k in range(3):
-        ball = HVector(c[:, k], Model.BALL)
-        out.append(cayley(ball, Model.SIEGEL))
-    return out
+    return [HVector(_CAYLEY_INV @ c[:, k]) for k in range(3)]
 
 
 def triangle_group(params: TriangleParams) -> Representation:
@@ -361,13 +360,13 @@ def heisenberg_translation(w: complex, s: float) -> GroupElement:
         ],
         dtype=complex,
     )
-    return GroupElement(m, Model.SIEGEL)
+    return GroupElement(m)
 
 
 def screw_parabolic(psi: float, s: float) -> GroupElement:
     """Vertical translation composed with a rotation about the axis."""
     rot = np.diag([1.0, cmath.exp(1j * psi), 1.0])
-    return GroupElement(rot @ heisenberg_translation(0.0, s).matrix, Model.SIEGEL)
+    return GroupElement(rot @ heisenberg_translation(0.0, s).matrix)
 
 
 def diagonal_loxodromic(alpha: complex, s: float) -> GroupElement:
@@ -383,4 +382,4 @@ def diagonal_loxodromic(alpha: complex, s: float) -> GroupElement:
             cmath.exp(-s * np.conj(a)),
         ]
     )
-    return GroupElement(np.diag(d), Model.SIEGEL)
+    return GroupElement(np.diag(d))

@@ -1,7 +1,10 @@
 """Hermitian linear algebra on C^3 for signature (2,1) forms.
 
-Two coordinate models are supported: the ball model with form
-diag(1, 1, -1) and the Siegel model with form antidiag(1, 2, 1).
+The geometry lives in the Siegel model, with form antidiag(1, 2, 1):
+`GroupElement` preserves that form and acts on Siegel lifts only.  The ball
+model, with form diag(1, 1, -1), remains a second form of the scalar
+`HVector` algebra (`cayley` moves a lift between the two) and the chart
+behind `boundary.ball_rows`.
 The inner product convention is ``<a, b> = b^dagger J a`` (linear in the
 first slot, antilinear in the second).  With the conjugate convention
 every angular invariant computed downstream flips sign.  The algebra is
@@ -208,10 +211,6 @@ class ProjectivePoint:
     point_type: PointType
     type_margin: float
 
-    @property
-    def model(self) -> Model:
-        return self.representative.model
-
     def proportional_to(
         self, other: "ProjectivePoint", tol: float = TOL_PROPORTIONAL
     ) -> bool:
@@ -276,10 +275,9 @@ class Classification:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A unit-determinant matrix preserving the Hermitian form."""
+    """A unit-determinant matrix preserving the Siegel form."""
 
     matrix: np.ndarray
-    model: Model = Model.SIEGEL
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex).reshape(3, 3)
@@ -290,31 +288,26 @@ class GroupElement:
         """Wrap a Siegel-model matrix that `_unit_det` has already normalized."""
         g = object.__new__(cls)
         object.__setattr__(g, "matrix", m)
-        object.__setattr__(g, "model", Model.SIEGEL)
         return g
 
     def form_residual(self) -> float:
-        j = self.model.matrix
-        return float(
-            np.linalg.norm(self.matrix.conj().T @ j @ self.matrix - j)
-        )
+        m, j = self.matrix, _H_SIEGEL
+        return float(np.linalg.norm(m.conj().T @ j @ m - j))
 
     @property
     def det(self) -> complex:
         return complex(np.linalg.det(self.matrix))
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(np.linalg.inv(self.matrix), self.model)
+        return GroupElement(np.linalg.inv(self.matrix))
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        if other.model is not self.model:
-            raise ModelMismatchError("cannot compose across models")
-        return GroupElement(self.matrix @ other.matrix, self.model)
+        return GroupElement(self.matrix @ other.matrix)
 
     def apply(self, v: HVector) -> HVector:
-        if v.model is not self.model:
-            raise ModelMismatchError("vector model differs from element model")
-        return HVector(self.matrix @ v.entries, self.model)
+        if v.model is not Model.SIEGEL:
+            raise ModelMismatchError("isometries act on Siegel-model lifts")
+        return HVector(self.matrix @ v.entries)
 
     @cached_property
     def classification(self) -> Classification:
@@ -391,8 +384,8 @@ def classify(g: GroupElement) -> Classification:
         ElementClass.LOXODROMIC,
         rot,
         (
-            point_type(HVector(attracting, g.model), TOL_EIGVEC),
-            point_type(HVector(repelling, g.model), TOL_EIGVEC),
+            point_type(HVector(attracting), TOL_EIGVEC),
+            point_type(HVector(repelling), TOL_EIGVEC),
         ),
     )
 
@@ -406,19 +399,15 @@ def is_real_loxodromic(g: GroupElement) -> bool:
     return bool(abs(tr.imag) < TOL_TRACE * max(1.0, abs(tr)))
 
 
-def random_form_preserving(
-    rng: np.random.Generator, model: Model = Model.SIEGEL
-) -> GroupElement:
+def random_form_preserving(rng: np.random.Generator) -> GroupElement:
     """A pseudo-random element of the isometry group, for invariance tests.
 
     Built from the su(2,1) Lie algebra: X with X^dagger J = -J X
     exponentiates into the unitary group of J.
     """
-    j = model.matrix
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    jinv = model.inverse
-    x = 0.5 * (a - jinv @ a.conj().T @ j)
+    x = 0.5 * (a - _H_SIEGEL_INV @ a.conj().T @ _H_SIEGEL)
     x -= np.trace(x) / 3.0 * np.eye(3)
     from scipy.linalg import expm
 
-    return GroupElement(expm(x), model)
+    return GroupElement(expm(x))

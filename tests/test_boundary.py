@@ -107,6 +107,18 @@ class TestCartan:
     def test_degenerate_flag(self):
         p = rand_point()
         assert cartan(p, p, rand_point()).degenerate
+        # the flag reads cancellation in one Gram entry: 1e-12 apart is one
+        # point, 1e-8 apart two
+        far = BoundaryPoint(-2, 0.5)
+        assert cartan(BoundaryPoint(1, 0), BoundaryPoint(1, 1e-12), far).degenerate
+        assert not cartan(BoundaryPoint(1, 0), BoundaryPoint(1, 1e-8), far).degenerate
+
+    @pytest.mark.parametrize("s", [1e3, 1e4, 1e8])
+    def test_far_chain_triple_is_not_degenerate(self, s):
+        # the s = 1 triple dilated by s: three distinct points, A = +-pi/2
+        val = cartan(BoundaryPoint(s, 0), BoundaryPoint(s * 1j, 0), BoundaryPoint(-s, 0))
+        assert not val.degenerate
+        assert abs(val.angle) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_isometry_invariance(self):
         for _ in range(50):
@@ -136,6 +148,14 @@ class TestNormalizer:
             ia = a.apply(g)
             assert not ia.at_infinity and abs(ia.z) < 1e-9 and abs(ia.t) < 1e-9
             assert b.apply(g).at_infinity
+
+    def test_close_pair(self):
+        # 2e-4 chordal apart; the frame's inverse is built from the form, not
+        # by elimination, so b still lands on infinity and a on the origin
+        a, b = BoundaryPoint(0, 0), BoundaryPoint(1e-4, 0)
+        g = normalizer_to_standard(a, b)
+        assert b.apply(g) == INFINITY and b.apply(g).at_infinity
+        assert a.apply(g) == BoundaryPoint(0, 0)
 
 
 class TestProjections:
@@ -261,17 +281,39 @@ def test_array_rules_match_scalar_point_rules():
 
 
 def _reference_cartan(p, q, r):
-    """cartan as it was: three scalar pairings and a vdot scale."""
-    import cmath
-
+    """cartan written out: three scalar pairings, each tested against the
+    size of its three terms."""
     a, b, c = p.lift, q.lift, r.lift
-    prod = -herm_inner(a, b) * herm_inner(b, c) * herm_inner(c, a)
-    scale = 1.0
-    for v in (a, b, c):
-        scale *= float(np.vdot(v.entries, v.entries).real)
-    if abs(prod) < 1e-12 * scale:
-        return 0.0, True
-    return cmath.phase(prod), False
+    for x, y in ((a, b), (b, c), (c, a)):
+        (x0, x1, x2), (y0, y1, y2) = np.abs(x.entries), np.abs(y.entries)
+        if abs(herm_inner(x, y)) <= 1e-12 * (x0 * y2 + 2.0 * x1 * y1 + x2 * y0):
+            return 0.0, True
+    return cmath.phase(-herm_inner(a, b) * herm_inner(b, c) * herm_inner(c, a)), False
+
+
+_SPOTS = st.one_of(
+    st.just(None),  # infinity
+    st.tuples(*[st.integers(-12, 12)] * 3),  # [z, t] on the grid of step 1/4
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spots=st.lists(_SPOTS, min_size=3, max_size=3), s=st.floats(1e-3, 1e6))
+def test_cartan_invariant_under_dilation(spots, s):
+    """Dilating a triple by diag(s^2, s, 1) keeps its angle within 1e-12 and
+    its degenerate flag; the triple is degenerate exactly when two points
+    coincide, as grid points are 1/4 apart or more."""
+
+    def point(spot, s):
+        if spot is None:
+            return INFINITY
+        x, y, t = (k / 4 for k in spot)
+        return BoundaryPoint(complex(s * x, s * y), s * s * t)
+
+    before = cartan(*(point(spot, 1.0) for spot in spots))
+    after = cartan(*(point(spot, s) for spot in spots))
+    assert before.degenerate == after.degenerate == (len(set(spots)) < 3)
+    assert abs(after.angle - before.angle) <= 1e-12
 
 
 def test_cartan_matches_pairwise_reference():

@@ -39,7 +39,6 @@ from crchains.hermitian import (
     ElementClass,
     GeometryError,
     IndeterminateClassError,
-    Model,
     box,
     random_form_preserving,
 )
@@ -82,12 +81,11 @@ class TestAxisAtInfinity:
             axis_at_infinity(heisenberg_translation(1.0, 0.0))
 
 
-@pytest.mark.parametrize("model", list(Model))
-def test_axis_matches_classification_fixed_points(model):
+def test_axis_matches_classification_fixed_points():
     """The stacked axis rule reads the fixed points `classify` reports."""
     rng = np.random.default_rng(4)
     for _ in range(40):
-        g = random_form_preserving(rng, model)
+        g = random_form_preserving(rng)
         try:
             cls = g.classification
         except IndeterminateClassError:

@@ -159,6 +159,16 @@ class TestGroupElement:
         prod = g @ g.inverse()
         assert np.allclose(prod.matrix, np.eye(3), atol=1e-10)
 
+    def test_single_field(self):
+        from dataclasses import fields
+
+        assert [f.name for f in fields(GroupElement)] == ["matrix"]
+
+    def test_apply_to_ball_lift_raises(self):
+        # isometries act on Siegel lifts; a ball lift is moved by `cayley` first
+        with pytest.raises(ModelMismatchError):
+            random_form_preserving(RNG).apply(rand_vec(Model.BALL))
+
 
 class TestClassification:
     def test_identity(self):
