@@ -1,4 +1,4 @@
-"""Boundary points, the angular invariant, distances and projections.
+"""Boundary points and point sets, the angular invariant, distances, projections.
 
 A boundary point is stored as one Siegel lift, its `row`: the standard lift
 (-|z|^2 + it, z, 1) of a finite point [z, t], or (1, 0, 0) for infinity, an
@@ -7,6 +7,11 @@ read the row; the Heisenberg coordinates z and t are read off it.  The flag
 at_infinity records that a point was computed from a lift whose last entry
 is below 1e-9 of its norm; only `str` and the formulas written in
 Heisenberg coordinates read it.
+
+A point set (`PointSet`: curve samples, limit sets, arc polylines) is the
+(N, 3) array of those rows with the (N,) at_infinity mask.  The array rules
+read the rows; `points` builds BoundaryPoint views only where a caller asks
+for points, and a BoundaryPoint's own array rules are the one-row cases.
 """
 
 from __future__ import annotations
@@ -74,20 +79,21 @@ class BoundaryPoint:
     def from_lift(v: HVector, tol: float = 1e-6) -> "BoundaryPoint":
         """Invert the standard lift; the input must be null.
 
-        The one-row case of `points_from_lifts`.
+        The one-row case of `point_set`.
         """
-        return points_from_lifts(cayley(v, Model.SIEGEL).entries[None], tol)[0]
+        return point_set(cayley(v, Model.SIEGEL).entries[None], tol).points[0]
 
     def apply(self, g: GroupElement) -> "BoundaryPoint":
-        return points_from_lifts((g.matrix @ self.lift.entries)[None])[0]
+        """The image under an isometry: the one-row case of `point_set`."""
+        return point_set((g.matrix @ self.lift.entries)[None]).points[0]
 
     def ball_coords(self) -> np.ndarray:
         """Affine ball-model coordinates (z1, z2) on the unit sphere of C^2."""
-        return ball_rows((self,))[0]
+        return ball_rows(lifts((self,)))[0]
 
     def chordal(self, other: "BoundaryPoint") -> float:
         """Euclidean distance between ball-model coordinates; bounded by 2."""
-        b = ball_rows((self, other))
+        b = ball_rows(lifts((self, other)))
         return float(np.linalg.norm(b[0] - b[1]))
 
     def close_to(self, other: "BoundaryPoint", eps: float = 1e-8) -> bool:
@@ -99,11 +105,8 @@ class BoundaryPoint:
         return f"[{self.z:.6g}, {self.t:.6g}]"
 
     def to_json(self):
-        """JSON form: "inf" for the row (1, 0, 0), else {"z": [re, im], "t": t}."""
-        w, z, e2 = self.row
-        if not e2:  # (1, 0, 0) is the one row with e2 = 0
-            return "inf"
-        return {"z": [z.real, z.imag], "t": w.imag}
+        """The one-row case of `PointSet.json_points`."""
+        return PointSet.of((self,)).json_points()[0]
 
     @staticmethod
     def from_json(item) -> "BoundaryPoint":
@@ -126,19 +129,91 @@ _set_row(INFINITY, (1.0, 0.0, 0.0))
 _set_at_infinity(INFINITY, True)
 
 
+def _view(w: complex, z: complex, e2: complex, at_infinity: bool) -> BoundaryPoint:
+    """The BoundaryPoint of a standard row (w, z, e2): INFINITY for (1, 0, 0)."""
+    if not e2:  # (1, 0, 0) is the one row with e2 = 0
+        return INFINITY
+    p = object.__new__(BoundaryPoint)
+    _set_row(p, (w, z, 1.0))  # e2 = 1 stored as BoundaryPoint(z, t) stores it
+    _set_at_infinity(p, at_infinity)
+    return p
+
+
+@dataclass(frozen=True, eq=False)
+class PointSet:
+    """Boundary points as one array: `rows`, the (N, 3) standard Siegel rows,
+    and the (N,) `at_infinity` mask.
+
+    The array rules read `rows`; `points` builds a BoundaryPoint view of
+    each row, and indexing keeps the rows and flags of a subset.
+    """
+
+    rows: np.ndarray
+    at_infinity: np.ndarray
+
+    @classmethod
+    def of(cls, points, *args, **kwargs):
+        """The set of a sequence of boundary points; args and kwargs fill the
+        fields a subclass adds."""
+        points = list(points)
+        flags = np.array([p.at_infinity for p in points], dtype=bool)
+        return cls(lifts(points), flags, *args, **kwargs)
+
+    def __getitem__(self, index) -> "PointSet":
+        return PointSet(self.rows[index], self.at_infinity[index])
+
+    @property
+    def points(self) -> list[BoundaryPoint]:
+        return [
+            _view(*row, flag) for row, flag in zip(self.rows.tolist(), self.at_infinity.tolist())
+        ]
+
+    def json_points(self) -> list:
+        """JSON form of each point: "inf" for the row (1, 0, 0), else
+        {"z": [re, im], "t": t}."""
+        return [
+            {"z": [z.real, z.imag], "t": w.imag} if e2 else "inf"
+            for w, z, e2 in self.rows.tolist()
+        ]
+
+
 def lifts(points) -> np.ndarray:
     """The rows of boundary points, their Siegel lifts: (N, 3)."""
     return np.array([p.row for p in points], dtype=complex).reshape(-1, 3)
 
 
-def ball_rows(points) -> np.ndarray:
-    """Ball coordinates of boundary points, one `ball_coords` per row: (N, 2)."""
-    b = lifts(points) @ _CAYLEY.T
+def ball_rows(rows: np.ndarray) -> np.ndarray:
+    """Ball coordinates of (N, 3) Siegel rows, one `ball_coords` per row: (N, 2)."""
+    b = rows @ _CAYLEY.T
     return b[:, :2] / b[:, 2:]
 
 
-def points_from_lifts(e: np.ndarray, tol: float = 1e-6) -> list[BoundaryPoint]:
-    """`BoundaryPoint.from_lift` on every row of an (N, 3) array of Siegel lifts.
+def standard_rows(z, t, at_infinity=False) -> np.ndarray:
+    """The rows (-|z|^2 + it, z, 1) of the points [z, t]: the rule of
+    `BoundaryPoint(z, t)`, with its bits, on 1-D arrays.
+
+    A row that is not finite raises GeometryError, unless at_infinity flags
+    it: then it is infinity's row (1, 0, 0).
+    """
+    z = np.asarray(z, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # hypot and float_power round as Python's abs(z) ** 2 does, numpy's
+        # complex abs and square do not; 0.0 * t is NaN where t is not finite
+        w = -np.float_power(np.hypot(z.real, z.imag), 2.0) + 0.0 * np.asarray(t, dtype=float)
+    rows = np.empty((len(z), 3), dtype=complex)
+    rows.real[:, 0], rows.imag[:, 0], rows[:, 1], rows[:, 2] = w, t, z, 1.0
+    finite = np.isfinite(w)  # False where |z| > ~1.3e154, or z or t is inf or NaN
+    if not finite.all():
+        stray = np.flatnonzero(~finite & ~np.asarray(at_infinity))
+        if stray.size:
+            k = stray[0]
+            raise GeometryError(f"[{z[k]}, {rows[k, 0].imag}] has no finite lift")
+        rows[~finite] = (1.0, 0.0, 0.0)  # e2 = 0, or within 1e-154 chordal of infinity
+    return rows
+
+
+def point_set(e: np.ndarray, tol: float = 1e-6) -> PointSet:
+    """The points of an (N, 3) array of null Siegel lifts.
 
     Raises unless every row is null to within tol (relative residual).  The
     point of a row e is [e1 / e2, Im(e0 / e2)], t read off the imaginary
@@ -146,26 +221,14 @@ def points_from_lifts(e: np.ndarray, tol: float = 1e-6) -> list[BoundaryPoint]:
     Rows with |e2| <= 1e-9 |e| are flagged at_infinity.
     """
     residual = np.abs(_null_margin(e, _H_SIEGEL))
-    bad = np.flatnonzero(residual > tol)
-    if bad.size:
-        raise GeometryError(
-            f"lift is not null (relative residual {residual[bad[0]]:.2e})"
-        )
+    bad = residual > tol
+    if bad.any():
+        raise GeometryError(f"lift is not null (relative residual {residual[bad][0]:.2e})")
     norm2 = (np.conj(e)[:, None, :] @ e[:, :, None]).real[:, 0, 0]
     at_inf = np.abs(e[:, 2]) <= 1e-9 * np.sqrt(norm2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # e2 ~ 0
         z, t = e[:, 1] / e[:, 2], (e[:, 0] / e[:, 2]).imag
-    points = []
-    for inf, zz, tt in zip(at_inf.tolist(), z.tolist(), t.tolist()):
-        try:
-            p = BoundaryPoint(zz, tt)
-        except GeometryError:
-            if not inf:
-                raise
-            p = INFINITY  # e2 = 0, or within 1e-154 chordal of infinity
-        _set_at_infinity(p, inf)
-        points.append(p)
-    return points
+    return PointSet(standard_rows(z, t, at_inf), at_inf)
 
 
 @dataclass(frozen=True)

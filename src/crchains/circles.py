@@ -21,11 +21,13 @@ import numpy as np
 from .boundary import (
     INFINITY,
     BoundaryPoint,
+    PointSet,
     ball_rows,
     best_triple,
     lifts,
     normalizer_to_standard,
-    points_from_lifts,
+    point_set,
+    standard_rows,
 )
 from .hermitian import (
     GeometryError,
@@ -182,20 +184,21 @@ class Arc:
 
     def point(self, t: float) -> BoundaryPoint:
         """Point of the arc at chart parameter t in (0, inf)."""
-        return self._points([t])[0]
+        return self._points([t]).points[0]
 
-    def sample(self, n: int, t_range: tuple[float, float] = (1e-3, 1e3)) -> list[BoundaryPoint]:
+    def sample(self, n: int, t_range: tuple[float, float] = (1e-3, 1e3)) -> PointSet:
+        """The polyline of n chart points, t geometrically spaced over t_range."""
         return self._points([float(t) for t in np.geomspace(t_range[0], t_range[1], n)])
 
-    def _points(self, ts: list[float]) -> list[BoundaryPoint]:
+    def _points(self, ts: list[float]) -> PointSet:
         """Chart points [a + (i t / <b, a>) b], with <b, a> computed once."""
         if not all(t > 0 for t in ts):
             raise GeometryError("arc parameter must be positive")
         a, b = self.start.lift, self.end.lift
         h = herm_inner(b, a)
         # 1j * t / h stays a Python scalar per t: numpy rounds it differently
-        chart = [a.entries + (1j * t / h) * b.entries for t in ts]
-        return points_from_lifts(np.array(chart).reshape(-1, 3))
+        mu = np.array([1j * t / h for t in ts], dtype=complex)
+        return point_set(a.entries + mu[:, None] * b.entries)
 
     def param_of(self, p: BoundaryPoint) -> tuple[float, float]:
         """Chart parameter of p (infinite at the far endpoint) + residual.
@@ -295,31 +298,26 @@ class RCircle:
         xs = np.concatenate(
             [-np.geomspace(1e3, 1e-3, n // 2), np.geomspace(1e-3, 1e3, n - n // 2)]
         )
-        pts = [BoundaryPoint(float(x), 0.0).apply(self.frame) for x in xs]
-        pts.append(INFINITY.apply(self.frame))
-        return CurveSample(pts, closed=True, source="r-circle")
+        rows = np.concatenate([standard_rows(xs, 0.0), [INFINITY.row]])
+        pts = point_set(rows @ self.frame.matrix.T)
+        return CurveSample(pts.rows, pts.at_infinity, closed=True, source="r-circle")
 
 
-@dataclass
-class CurveSample:
+@dataclass(frozen=True, eq=False)
+class CurveSample(PointSet):
     """An ordered sample of boundary points with provenance tag."""
 
-    points: list[BoundaryPoint]
     closed: bool
     source: str
 
     def __post_init__(self):
-        b = ball_rows(self.points)
+        b = ball_rows(self.rows)
         if (np.linalg.norm(b[1:] - b[:-1], axis=-1) < 1e-14).any():
             raise GeometryError("consecutive sample points coincide")
 
     def to_json(self) -> str:
         return json.dumps(
-            {
-                "source": self.source,
-                "closed": self.closed,
-                "points": [p.to_json() for p in self.points],
-            }
+            {"source": self.source, "closed": self.closed, "points": self.json_points()}
         )
 
     @staticmethod
@@ -331,7 +329,13 @@ class CurveSample:
             closed, source = data["closed"], data["source"]
         except (KeyError, TypeError, ValueError) as exc:
             raise GeometryError(f"malformed curve sample: {exc!r}") from exc
-        return CurveSample(pts, closed, source)
+        return CurveSample.of(pts, closed, source)
+
+
+def _then_infinity(rows: np.ndarray) -> PointSet:
+    """The points of finite standard rows, followed by infinity."""
+    flags = np.arange(len(rows) + 1) == len(rows)
+    return PointSet(np.concatenate([rows, [INFINITY.row]]), flags)
 
 
 def _real_up_to_scale(row: tuple, tol: float) -> bool:
@@ -394,10 +398,10 @@ def bent_curve(
         raise GeometryError("bending angle must lie in (0, 2 pi)")
     half = (n - 2) // 2
     radii = np.geomspace(r_range[0], r_range[1], half)
-    branch1 = [_branch_point(float(x), 0, theta) for x in radii[::-1]]
-    branch2 = [_branch_point(y, 1, theta) for y in radii]
-    pts = branch1 + [BoundaryPoint(0.0, 0.0)] + branch2 + [INFINITY]
-    return CurveSample(pts, closed=True, source=f"bent:{float(theta)!r}")
+    e = complex(math.cos(theta), math.sin(theta))
+    z = np.concatenate([radii[::-1], [0.0], radii * e])  # branch 0, origin, branch 1
+    pts = _then_infinity(standard_rows(z, 0.0))
+    return CurveSample(pts.rows, pts.at_infinity, closed=True, source=f"bent:{float(theta)!r}")
 
 
 def bent_certificate(
@@ -518,16 +522,21 @@ def bent_leaf(p: BoundaryPoint, theta: float) -> Arc:
     )
 
 
-def spiral_point(a: float, s: float) -> BoundaryPoint:
-    """Point of the horizontal loxodromic spiral with parameter s.
+def spiral_rows(a: float, s) -> np.ndarray:
+    """Standard rows of the horizontal loxodromic spiral at the parameters s.
 
     The spiral is the horizontal orbit of [1, 3a] under the diagonal
     one-parameter subgroup with exponent 1 + i a; every point satisfies
-    t = 3 a |z|^2.
+    t = 3 a |z|^2.  Python's math and complex arithmetic per s, not numpy's,
+    which rounds exp and complex products differently.
     """
-    z = complex(math.exp(s)) * complex(math.cos(3 * a * s), -math.sin(3 * a * s))
-    t = 3 * a * math.exp(2 * s)
-    return BoundaryPoint(z, t)
+    z = [complex(math.exp(x)) * complex(math.cos(3 * a * x), -math.sin(3 * a * x)) for x in s]
+    return standard_rows(z, [3 * a * math.exp(2 * x) for x in s])
+
+
+def spiral_point(a: float, s: float) -> BoundaryPoint:
+    """Point of the horizontal loxodromic spiral: the one-row `spiral_rows`."""
+    return PointSet(spiral_rows(a, [s]), np.zeros(1, dtype=bool)).points[0]
 
 
 def spiral_curve(
@@ -538,9 +547,10 @@ def spiral_curve(
         raise GeometryError("spiral parameter must be positive")
     if n < 2:
         raise GeometryError("need at least two sample points")
-    ss = np.linspace(s_range[0], s_range[1], n)
-    pts = [BoundaryPoint(0.0, 0.0)] + [spiral_point(a, float(s)) for s in ss] + [INFINITY]
-    return CurveSample(pts, closed=False, source=f"spiral:{float(a)!r}")
+    ss = np.linspace(s_range[0], s_range[1], n).tolist()
+    origin = standard_rows([0.0], 0.0)
+    pts = _then_infinity(np.concatenate([origin, spiral_rows(a, ss)]))
+    return CurveSample(pts.rows, pts.at_infinity, closed=False, source=f"spiral:{float(a)!r}")
 
 
 def _det_block(unit: np.ndarray, j: int) -> np.ndarray:
@@ -575,7 +585,7 @@ def mobius_sample(sample: CurveSample) -> tuple[list[ProjectivePoint], float]:
     between the two complex lines, so it does not depend on the phase of
     either lift.
     """
-    v = _tame(lifts(sample.points))
+    v = _tame(sample.rows)
     unit = v / np.linalg.norm(v, axis=1)[:, None]
     sep = np.linalg.norm(_cross3(unit[:, None, :], unit[None, :, :]), axis=-1)
 

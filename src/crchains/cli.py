@@ -190,10 +190,10 @@ def cmd_crown(args) -> int:
         else:
             rep = triangle_group(TriangleParams(*pqr, s["phase"]))
         crown = build_crown(rep, s["gamma_word"], s["word_length"])
+        report = embeddedness(crown)
     except GeometryError as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    report = embeddedness(crown)
     metadata = _metadata(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -240,11 +240,10 @@ def cmd_foliation(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        pts = leaf.sample(args.n_samples)
         payload = {
             "endpoints": [leaf.start.to_json(), leaf.end.to_json()],
             "residual": residual,
-            "polyline": [q.to_json() for q in pts],
+            "polyline": leaf.sample(args.n_samples).json_points(),
             "metadata": _metadata(
                 {
                     "mode": args.mode,

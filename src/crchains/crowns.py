@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .boundary import INFINITY, BoundaryPoint, ball_rows, lifts, points_from_lifts
+from .boundary import BoundaryPoint, PointSet, ball_rows, point_set, standard_rows
 from .circles import (
     Arc,
     ArcRelation,
@@ -25,7 +25,7 @@ from .circles import (
     _real_up_to_scale,
     arcs_intersect,
     circle_relations,
-    spiral_point,
+    spiral_rows,
 )
 from .groups import (
     LimitSetSample,
@@ -58,7 +58,7 @@ def brentq(f, a, b, **kwargs):
     return solve(f, a, b, **kwargs)
 
 
-def _axis_ends(m: np.ndarray) -> list[BoundaryPoint]:
+def _axis_ends(m: np.ndarray) -> PointSet:
     """Repelling, then attracting fixed point of each element of a stack.
 
     Raises unless every element is loxodromic.
@@ -72,12 +72,12 @@ def _axis_ends(m: np.ndarray) -> list[BoundaryPoint]:
             )
         raise GeometryError("axis at infinity requires a loxodromic element")
     fixed = np.stack([repelling, attracting], axis=1).reshape(-1, 3)
-    return points_from_lifts(fixed, TOL_LIFT)
+    return point_set(fixed, TOL_LIFT)
 
 
 def axis_at_infinity(g: GroupElement) -> Arc:
     """Arc from the repelling to the attracting fixed point of g."""
-    return Arc(*_axis_ends(g.matrix[None]))
+    return Arc(*_axis_ends(g.matrix[None]).points)
 
 
 @dataclass(frozen=True)
@@ -113,12 +113,13 @@ def build_crown(
     # g gamma g^-1, normalized after each product as GroupElement's @ does
     conj = _unit_det(_unit_det(g @ gamma.matrix) @ _unit_det(np.linalg.inv(g)))
     ends = _axis_ends(np.concatenate([gamma.matrix[None], conj]))
-    key = ball_rows(ends).view(float).reshape(-1, 2, 4)
+    key = ball_rows(ends.rows).view(float).reshape(-1, 2, 4)
     pair = np.stack([key.reshape(-1, 8), key[:, ::-1].reshape(-1, 8)], axis=1)
-    keep = _Dedup(TOL_DEDUP).keep(pair)
+    k = np.flatnonzero(_Dedup(TOL_DEDUP).keep(pair))
     labels = [""] + [w for w, _ in words[1:n_arcs]]
     arcs = tuple(
-        (labels[k], Arc(ends[2 * k], ends[2 * k + 1])) for k in np.flatnonzero(keep)
+        (labels[i], Arc(a, b))
+        for i, a, b in zip(k.tolist(), ends[2 * k].points, ends[2 * k + 1].points)
     )
     ls = _limit_sample(words, limit_length)
     return Crown(rep, gamma_word, arcs, ls, length)
@@ -179,8 +180,9 @@ def embeddedness(crown: Crown) -> EmbeddednessReport:
     )
 
 
-def _curve_fn_from_sample(sample: CurveSample) -> Callable[[float], BoundaryPoint]:
-    """The exact curve behind a sample, as a map of a signed coordinate s.
+def _curve_fn_from_sample(sample: CurveSample) -> Callable[[list], np.ndarray]:
+    """The exact curve behind a sample, as the map from a list of signed
+    coordinates s to the standard rows of their points.
 
     The source tag names the curve: spiral samples map s to the spiral
     point, R-circle samples map s to [sign(s) e^|s|, 0].  GeometryError
@@ -188,22 +190,25 @@ def _curve_fn_from_sample(sample: CurveSample) -> Callable[[float], BoundaryPoin
     moved by an isometry is not analysed as the curve its tag still names.
     """
     src = sample.source
+    w, _, e2 = sample.rows.T
     if src.startswith("spiral:"):
         a = float(src.split(":", 1)[1])
+        # t = 3 a |z|^2, with |z|^2 = -Re w on a standard row
         curve, on_curve = (
-            lambda s: spiral_point(a, s),
-            lambda p: abs(p.t - 3 * a * abs(p.z) ** 2) <= 1e-9 * max(1.0, abs(p.t)),
+            lambda s: spiral_rows(a, s),
+            np.abs(w.imag + 3 * a * w.real) <= 1e-9 * np.maximum(1.0, np.abs(w.imag)),
         )
     elif src.startswith("r-circle"):
         curve, on_curve = (
-            lambda s: BoundaryPoint(math.copysign(math.exp(abs(s)), s), 0.0),
-            lambda p: _real_up_to_scale(p.row, 1e-8),
+            lambda s: standard_rows([math.copysign(math.exp(abs(x)), x) for x in s], 0.0),
+            # the scalar rule of `RCircle.contains`, row by row
+            np.array([_real_up_to_scale(row, 1e-8) for row in sample.rows.tolist()], bool),
         )
     else:
         raise GeometryError(f"no continuous parametrization for source {src!r}")
-    off = next((p for p in sample.points if p != INFINITY and not on_curve(p)), None)
-    if off is not None:
-        raise GeometryError(f"sample point {off} is off the curve {src!r}")
+    off = np.flatnonzero((e2 != 0) & ~on_curve)  # infinity's row has e2 = 0
+    if off.size:
+        raise GeometryError(f"sample point {sample[off[:1]].points[0]} is off the curve {src!r}")
     return curve
 
 
@@ -229,8 +234,8 @@ def crossing_detector(
         """Certificate at every s of an array, or at one s."""
         ss = np.ravel(s).tolist()
         # curve(-s) and curve(s) are distinct for s > 0: every chord exists
-        a = _tame(lifts([curve(-x) for x in ss]))
-        chord = _box(a, _tame(lifts([curve(x) for x in ss])), _H_SIEGEL_INV)
+        a = _tame(curve([-x for x in ss]))
+        chord = _box(a, _tame(curve(ss)), _H_SIEGEL_INV)
         w = _box(chord, n_axis, _H_SIEGEL_INV)
         scale = np.linalg.norm(chord, axis=-1) ** 2 * np.linalg.norm(n_axis) ** 2
         return (_herm(w, w, _H_SIEGEL).real / scale).reshape(np.shape(s))
@@ -244,8 +249,7 @@ def crossing_detector(
         s_star = brentq(f, float(ss[i]), float(ss[i + 1]), xtol=1e-14)
         if abs(f(s_star)) > 1e-10:
             continue
-        a = curve(-s_star)
-        b = curve(s_star)
+        a, b = PointSet(curve([-s_star, s_star]), np.zeros(2, dtype=bool)).points
         chord_arc = Arc(a, b)
         hit = arcs_intersect(chord_arc, axis)
         if hit.kind is not ArcRelation.CROSS:
@@ -274,22 +278,20 @@ def export_uniformization(
             f"crown is not embedded: arcs {report.witness} cross"
             + (f" at {report.witness_point}" if report.witness_point else "")
         )
-    arcs_payload = []
-    for label, arc in crown.arcs:
-        poly = [p.to_json() for p in arc.sample(64, t_range=(1e-2, 1e2))]
-        arcs_payload.append(
-            {
-                "coset": label,
-                "endpoints": [arc.start.to_json(), arc.end.to_json()],
-                "polyline": poly,
-            }
-        )
+    arcs_payload = [
+        {
+            "coset": label,
+            "endpoints": [arc.start.to_json(), arc.end.to_json()],
+            "polyline": arc.sample(64, t_range=(1e-2, 1e2)).json_points(),
+        }
+        for label, arc in crown.arcs
+    ]
     bundle = {
         "generators": [
             _encode_matrix(gen.matrix) for gen in crown.rep.generators
         ],
         "gamma_word": list(crown.core_word),
-        "limit_set": [p.to_json() for p in crown.limit_sample.points],
+        "limit_set": crown.limit_sample.json_points(),
         "arcs": arcs_payload,
         "report": {
             "status": report.status,

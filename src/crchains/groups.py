@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryPoint, ball_rows, points_from_lifts
+from .boundary import PointSet, ball_rows, point_set
 from .hermitian import (
     ElementClass,
     GeometryError,
@@ -286,17 +286,16 @@ def enumerate_words(rep: Representation, length: int) -> list[tuple[str, GroupEl
     ]
 
 
-@dataclass(frozen=True)
-class LimitSetSample:
+@dataclass(frozen=True, eq=False)
+class LimitSetSample(PointSet):
     """Deduplicated attracting fixed points of loxodromic words.
 
     Counters: words enumerated; words skipped as not loxodromic or
     indeterminate; fixed points rejected as non-null lifts; fixed points
-    dropped as duplicates.  2 (n_words - n_skipped) = len(points) +
+    dropped as duplicates.  2 (n_words - n_skipped) = len(rows) +
     n_rejected + n_duplicates.
     """
 
-    points: list[BoundaryPoint]
     word_length: int
     dedup_eps: float
     n_words: int
@@ -305,16 +304,16 @@ class LimitSetSample:
     n_duplicates: int
 
 
-def _angular_order(points: list[BoundaryPoint]) -> list[BoundaryPoint]:
-    """Sort by angle in the dominant principal plane of the ball coordinates."""
-    if len(points) < 3:
-        return points
-    coords = ball_rows(points).view(float)
+def _angular_order(rows: np.ndarray) -> np.ndarray:
+    """The order of Siegel rows by angle in the dominant principal plane of
+    their ball coordinates, as an index array."""
+    if len(rows) < 3:
+        return np.arange(len(rows))
+    coords = ball_rows(rows).view(float)
     centered = coords - coords.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     proj = centered @ vt[:2].T
-    angles = np.arctan2(proj[:, 1], proj[:, 0])
-    return [points[i] for i in np.argsort(angles)]
+    return np.argsort(np.arctan2(proj[:, 1], proj[:, 0]))
 
 
 def _limit_sample(
@@ -329,13 +328,15 @@ def _limit_sample(
     # attracting, then repelling fixed point of each word, in word order
     fixed = np.stack([attracting[lox], repelling[lox]], axis=1).reshape(-1, 3)
     null = ~(np.abs(_null_margin(fixed, _H_SIEGEL)) > TOL_LIFT)  # others rejected
-    pts = points_from_lifts(fixed[null], TOL_LIFT)
-    keep = _Dedup(eps).keep(ball_rows(pts).view(float)[:, None, :])
-    pts = [p for p, k in zip(pts, keep.tolist()) if k]
-    if not pts:
+    pts = point_set(fixed[null], TOL_LIFT)
+    keep = _Dedup(eps).keep(ball_rows(pts.rows).view(float)[:, None, :])
+    pts = pts[keep]
+    if not len(pts.rows):
         raise GeometryError("no loxodromic word found up to the given length")
+    pts = pts[_angular_order(pts.rows)]
     return LimitSetSample(
-        _angular_order(pts),
+        pts.rows,
+        pts.at_infinity,
         length,
         eps,
         n_words=len(words),

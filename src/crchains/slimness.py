@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import INFINITY, BoundaryPoint, best_triple, cartan, cartan_lifts, lifts
+from .boundary import INFINITY, BoundaryPoint, PointSet, best_triple, cartan, cartan_lifts
 from .circles import CurveSample, min_collinearity
 from .groups import (
     TriangleParams,
@@ -80,20 +80,18 @@ def _segment_blend(p: BoundaryPoint, q: BoundaryPoint, s: float) -> BoundaryPoin
 
 
 def _refine_triple(
-    pts: list[BoundaryPoint], idx: tuple[int, int, int], base: float
+    pts: PointSet, idx: tuple[int, int, int], base: float
 ) -> tuple[float, tuple[BoundaryPoint, BoundaryPoint, BoundaryPoint]]:
     """Golden-section sweep of each argmax point along its curve segments."""
-    n = len(pts)
-    triple = [pts[i] for i in idx]
+    n = len(pts.rows)
+    triple = pts[list(idx)].points
     best = base
     for slot in range(3):
         i = idx[slot]
         for j in (i - 1, i + 1):
-            if not 0 <= j < n:
+            if not 0 <= j < n or pts.at_infinity[[i, j]].any():
                 continue
-            p, q = pts[i], pts[j]
-            if p.at_infinity or q.at_infinity:
-                continue
+            p, q = pts[[i, j]].points
 
             def f(s, slot=slot, p=p, q=q):
                 cand = list(triple)
@@ -114,17 +112,15 @@ def sup_cartan(sample, refine: bool = False) -> SlimnessReport:
     cubic scan.  Refinement moves each witness point along its adjacent
     curve segments and never decreases the estimate.
     """
-    pts = list(sample.points)
-    if len(pts) < 3:
+    pts, n = sample, len(sample.rows)
+    if n < 3:
         raise GeometryError("need at least 3 points for a triple scan")
-    if len(pts) > MAX_SCAN_POINTS:
-        sel = np.linspace(0, len(pts) - 1, MAX_SCAN_POINTS).astype(int)
-        pts = [pts[i] for i in sel]
-    n = len(pts)
-    h = cartan_lifts(_tame(lifts(pts)))
+    if n > MAX_SCAN_POINTS:
+        pts, n = sample[np.linspace(0, n - 1, MAX_SCAN_POINTS).astype(int)], MAX_SCAN_POINTS
+    h = cartan_lifts(_tame(pts.rows))
     best, witness = best_triple(n, lambda j: _abs_cartan_block(h, j))
     n_triples = n * (n - 1) * (n - 2) // 6
-    triple = (pts[witness[0]], pts[witness[1]], pts[witness[2]])
+    triple = tuple(pts[list(witness)].points)
     if refine:
         best_r, triple_r = _refine_triple(pts, witness, best)
         if best_r >= best:
@@ -134,11 +130,10 @@ def sup_cartan(sample, refine: bool = False) -> SlimnessReport:
 
 def hyperconvexity(sample) -> HyperconvexityReport:
     """Minimal normalized triple determinant of the sample lifts."""
-    pts = list(sample.points)
-    if len(pts) < 3:
+    if len(sample.rows) < 3:
         raise GeometryError("need at least 3 points")
-    margin, (i, j, k) = min_collinearity(lifts(pts))
-    return HyperconvexityReport(margin, (pts[i], pts[j], pts[k]))
+    margin, witness = min_collinearity(sample.rows)
+    return HyperconvexityReport(margin, tuple(sample[list(witness)].points))
 
 
 @dataclass(frozen=True)
@@ -264,7 +259,7 @@ def sweep(
                 SweepRow(
                     phi,
                     rep.tau,
-                    len(ls.points),
+                    len(ls.rows),
                     rep_report.sup_estimate,
                     rep_report.argmax_triple,
                     n_words=ls.n_words,
@@ -306,5 +301,5 @@ def parabolic_obstruction_demo(kind: str) -> SlimnessReport:
         cur = cur.apply(g)
         pts.append(cur)
     pts.append(INFINITY)  # the fixed point of all three model parabolics
-    sample = CurveSample(pts, closed=False, source=f"parabolic:{kind}")
+    sample = CurveSample.of(pts, False, f"parabolic:{kind}")
     return sup_cartan(sample)

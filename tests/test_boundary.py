@@ -249,9 +249,9 @@ def _bits(points):
 
 
 def test_array_rules_match_scalar_point_rules():
-    """lifts, ball_rows, points_from_lifts and the scalar calls that are their
+    """lifts, ball_rows, point_set and the scalar calls that are their
     one-row cases give the bits of the old scalar rules."""
-    from crchains.boundary import ball_rows, lifts, points_from_lifts
+    from crchains.boundary import ball_rows, lifts, point_set
 
     rng = np.random.default_rng(11)
     scale = 10.0 ** rng.uniform(-4, 4, size=(300, 1))
@@ -264,7 +264,7 @@ def test_array_rules_match_scalar_point_rules():
     assert v.tobytes() == np.array(ref, dtype=complex).tobytes()
     assert v.tobytes() == np.array([p.lift.entries for p in points]).tobytes()
     ball = np.array([_reference_ball_coords(p) for p in points])
-    assert ball_rows(points).tobytes() == ball.tobytes()
+    assert ball_rows(lifts(points)).tobytes() == ball.tobytes()
     assert np.array([p.ball_coords() for p in points]).tobytes() == ball.tobytes()
     chordal = [p.chordal(q) for p, q in zip(points, points[::-1])]
     ref = [float(np.linalg.norm(b - c)) for b, c in zip(ball, ball[::-1])]
@@ -272,12 +272,12 @@ def test_array_rules_match_scalar_point_rules():
 
     e = v * (rng.normal(size=(len(v), 1)) + 1j * rng.normal(size=(len(v), 1)))
     ref = [_reference_from_lift(row) for row in e]
-    assert _bits(points_from_lifts(e)) == _bits(ref)
+    assert _bits(point_set(e).points) == _bits(ref)
     assert _bits(BoundaryPoint.from_lift(HVector(row)) for row in e) == _bits(ref)
     bad = e.copy()
     bad[5, 1] *= 2.0  # no longer null
     with pytest.raises(GeometryError, match="not null"):
-        points_from_lifts(bad)
+        point_set(bad)
 
 
 def _reference_cartan(p, q, r):
@@ -425,7 +425,7 @@ class TestRowIsThePoint:
 
     def test_curve_sample_json_keeps_a_far_point(self):
         far = BoundaryPoint(1e5j, 0).apply(GroupElement(np.eye(3)))
-        sample = CurveSample([BoundaryPoint(0, 0), far], closed=False, source="x")
+        sample = CurveSample.of([BoundaryPoint(0, 0), far], closed=False, source="x")
         back = CurveSample.from_json(sample.to_json())
         assert back.points[-1].chordal(far) == 0.0
         assert back.points[-1] == far

@@ -472,7 +472,7 @@ class TestMobiusSample:
         arc = Arc(BoundaryPoint(0, -1), BoundaryPoint(0, 1))
         pts = [arc.start, arc.point(1.0), arc.end]
         with pytest.raises(GeometryError, match="hyperconvex"):
-            mobius_sample(CurveSample(pts, False, "chain"))
+            mobius_sample(CurveSample.of(pts, False, "chain"))
 
     def test_min_collinearity_witness(self):
         arc = Arc(BoundaryPoint(0, -1), BoundaryPoint(0, 1))
@@ -691,11 +691,11 @@ def test_leaves_match_least_squares_reference(monkeypatch):
 def test_coincident_consecutive_points_rejected():
     pts = bent_curve(3 * math.pi / 4, n=20).points
     with pytest.raises(GeometryError, match="coincide"):
-        CurveSample(pts[:5] + [pts[4]] + pts[5:], closed=True, source="test")
+        CurveSample.of(pts[:5] + [pts[4]] + pts[5:], closed=True, source="test")
     with pytest.raises(GeometryError, match="coincide"):
-        CurveSample([INFINITY, INFINITY], closed=False, source="test")
-    assert len(CurveSample(pts[:1], closed=False, source="test").points) == 1
-    assert not CurveSample([], closed=False, source="test").points
+        CurveSample.of([INFINITY, INFINITY], closed=False, source="test")
+    assert len(CurveSample.of(pts[:1], closed=False, source="test").points) == 1
+    assert not CurveSample.of([], closed=False, source="test").points
 
 
 class TestFlowPoint:

@@ -207,6 +207,31 @@ class TestCrownCommand:
         assert code == 3
         assert "admissible interval (2, 4.82842712474619]" in capsys.readouterr().err
 
+    def test_parabolic_end_is_a_precondition_failure(self, tmp_path, capsys):
+        # at tau = 3 the core word is unipotent; rounding reads it as a
+        # loxodromic with a degenerate axis, whose arc has no support
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"target_tau": 3.0, "word_length": 6}))
+        out = tmp_path / "o"
+        code = main(["crown", "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("precondition failure:") and "Traceback" not in err
+        assert not (out / "crown_report.json").exists()
+        assert not (out / "crown.json").exists()
+
+    def test_just_past_the_parabolic_end(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"target_tau": 3.0 + 1e-7, "word_length": 6}))
+        out = tmp_path / "o"
+        code = main(["crown", "--config", str(cfg), "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("EMBEDDED: 24 arcs")
+        report = json.loads((out / "crown_report.json").read_text())
+        assert report["status"] == "EMBEDDED" and report["arcs_tested"] == 24
+        assert report["min_margin"] == pytest.approx(0.0466, abs=5e-5)
+        assert (out / "crown.json").exists()
+
     def test_non_loxodromic_core(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"gamma_word": "1", "word_length": 2}))

@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from crchains.boundary import BoundaryPoint, INFINITY
+from crchains.boundary import BoundaryPoint, INFINITY, PointSet, lifts
+from crchains.slimness import sup_cartan
 from crchains.circles import (
     Arc,
     ArcRelation,
     CurveSample,
     RCircle,
     arcs_intersect,
+    bent_curve,
     foliation_leaf_rcircle,
     spiral_curve,
     spiral_point,
@@ -33,11 +35,13 @@ from crchains.groups import (
     TriangleParams,
     diagonal_loxodromic,
     heisenberg_translation,
+    limit_set,
     triangle_group,
 )
 from crchains.hermitian import (
     ElementClass,
     GeometryError,
+    GroupElement,
     IndeterminateClassError,
     box,
     random_form_preserving,
@@ -255,7 +259,7 @@ class TestCrossingDetector:
         a = 0.2960712345
         curve = _curve_fn_from_sample(spiral_curve(a))
         for s in (-6.0, -0.5, 1e-6, 2.0, 5.0, 20.0):
-            assert curve(s) == spiral_point(a, s)
+            assert curve([s]).tobytes() == lifts([spiral_point(a, s)]).tobytes()
 
 
 class TestExport:
@@ -288,8 +292,11 @@ def _per_point_crossings(sample, g, s_range=(0.0, 20.0), grid=2000, tol=1e-10):
     """crossing_detector as it was, with one box-product pair per grid point;
     returns the sign-change brackets and the hits."""
     axis = axis_at_infinity(g)
-    curve = _curve_fn_from_sample(sample)
+    rows = _curve_fn_from_sample(sample)
     n_axis = box(axis.start.lift, axis.end.lift)
+
+    def curve(s):
+        return PointSet(rows([s]), np.zeros(1, dtype=bool)).points[0]
 
     def f(s):
         a = curve(-s).lift
@@ -353,7 +360,7 @@ def test_crossing_grid_matches_per_point_reference(a, monkeypatch):
     "moved",
     [
         lambda g: RCircle(g).sample(100),
-        lambda g: CurveSample(
+        lambda g: CurveSample.of(
             [p.apply(g) for p in spiral_curve(0.3).points], closed=False, source="spiral:0.3"
         ),
     ],
@@ -373,3 +380,104 @@ def test_crossing_detector_far_range():
     assert len(crossing_detector(spiral_curve(0.3), g, s_range=(0.0, 300.0))) >= 3
     control = RCircle.standard().sample(100)
     assert crossing_detector(control, diagonal_loxodromic(1.0, 1.0), s_range=(0.0, 300.0)) == []
+
+
+def _json_as_it_was(p):
+    """BoundaryPoint.to_json as it was, read off one point's row."""
+    w, z, e2 = p.row
+    return {"z": [z.real, z.imag], "t": w.imag} if e2 else "inf"
+
+
+@pytest.mark.parametrize("phase", [math.pi, 3.25, 4.2742])
+def test_export_matches_per_point_reference(phase):
+    """The crown.json text, built again point by point: each polyline from
+    one chart point per t, each point through its own JSON form."""
+    from test_groups import _per_point_sample
+
+    crown = build_crown(triangle_group(TriangleParams(3, 3, 4, phase)), "3212", 4)
+    report = embeddedness(crown)
+    metadata = {"note": "kept as given"}
+    points = list(crown.limit_sample.points)
+    arcs = []
+    for label, arc in crown.arcs:
+        poly = _per_point_sample(arc, 64, (1e-2, 1e2))
+        points += [arc.start, arc.end, *poly]
+        arcs.append(
+            {
+                "coset": label,
+                "endpoints": [arc.start.to_json(), arc.end.to_json()],
+                "polyline": [_json_as_it_was(p) for p in poly],
+            }
+        )
+    assert all(p.to_json() == _json_as_it_was(p) for p in points)
+    bundle = {
+        "generators": [
+            [[[c.real, c.imag] for c in row] for row in g.matrix] for g in crown.rep.generators
+        ],
+        "gamma_word": list(crown.core_word),
+        "limit_set": [p.to_json() for p in crown.limit_sample.points],
+        "arcs": arcs,
+        "report": {
+            "status": report.status,
+            "min_margin": report.min_margin,
+            "arcs_tested": report.arcs_tested,
+        },
+        "metadata": metadata,
+    }
+    assert export_uniformization(crown, report, metadata) == json.dumps(bundle)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: bent_curve(3 * math.pi / 4, n=40),
+        lambda: spiral_curve(0.3, n=50),
+        lambda: RCircle.standard().sample(30),
+        lambda: CurveSample.of(
+            [BoundaryPoint(-0.0, -0.0), BoundaryPoint(1e5j, 0).apply(GroupElement(np.eye(3)))],
+            closed=False,
+            source="far",
+        ),
+    ],
+    ids=["bent", "spiral", "r-circle", "far"],
+)
+def test_curve_sample_json_matches_per_point_reference(make):
+    sample = make()
+    ref = {
+        "source": sample.source,
+        "closed": sample.closed,
+        "points": [_json_as_it_was(p) for p in sample.points],
+    }
+    assert sample.to_json() == json.dumps(ref)
+    assert all(p.to_json() == _json_as_it_was(p) for p in sample.points)
+
+
+def test_points_are_views_made_on_demand(monkeypatch):
+    """A point set keeps rows: a crown builds the BoundaryPoints of its arc
+    endpoints (and of meeting points it tests), a slimness scan those of its
+    witness triple, and no others.  Counted on both ways a point is made:
+    its constructor, and `_view` of a row."""
+    from crchains import boundary
+
+    made = []
+    init, view = BoundaryPoint.__init__, boundary._view
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_view(*args):
+        made.append(args)
+        return view(*args)
+
+    monkeypatch.setattr(BoundaryPoint, "__init__", counting_init)
+    monkeypatch.setattr(boundary, "_view", counting_view)
+    rep = triangle_group(TriangleParams(3, 3, 4, 3.9))
+    crown = build_crown(rep, "3212", 4)
+    report = embeddedness(crown)
+    export_uniformization(crown, report)
+    assert 0 < len(made) <= 2 * len(crown.arcs) + report.pairs_exact
+    del made[:]
+    ls = limit_set(rep, 8)
+    sup_cartan(ls)
+    assert 0 < len(made) <= 3 < len(ls.rows)

@@ -36,7 +36,7 @@ from crchains.slimness import (
 def chain_sample(n=10):
     arc = Arc(BoundaryPoint(0, -1), BoundaryPoint(0, 1))
     pts = [arc.start] + [arc.point(t) for t in np.geomspace(0.1, 10, n)] + [arc.end]
-    return CurveSample(pts, closed=False, source="chain")
+    return CurveSample.of(pts, closed=False, source="chain")
 
 
 class TestSupCartan:
@@ -74,7 +74,7 @@ class TestSupCartan:
     def test_adding_chain_points_saturates(self):
         pts = RCircle.standard().sample(30).points
         pts = pts + [BoundaryPoint(0, 1.0), BoundaryPoint(0, -1.0)]
-        report = sup_cartan(CurveSample(pts, False, "mixed"))
+        report = sup_cartan(CurveSample.of(pts, False, "mixed"))
         assert report.sup_estimate == pytest.approx(math.pi / 2, abs=1e-9)
 
     def test_refinement_never_decreases(self):
@@ -89,12 +89,12 @@ class TestSupCartan:
         report = sup_cartan(sample)
         assert report.n_points == MAX_SCAN_POINTS == 400
         sel = np.linspace(0, len(sample.points) - 1, MAX_SCAN_POINTS).astype(int)
-        thinned = CurveSample([sample.points[i] for i in sel], sample.closed, sample.source)
+        thinned = CurveSample.of([sample.points[i] for i in sel], sample.closed, sample.source)
         assert report == sup_cartan(thinned)
 
     def test_too_few_points(self):
         with pytest.raises(GeometryError):
-            sup_cartan(CurveSample([BoundaryPoint(0, 0), INFINITY], False, "x"))
+            sup_cartan(CurveSample.of([BoundaryPoint(0, 0), INFINITY], False, "x"))
 
 
 class TestHyperconvexity:
@@ -286,7 +286,7 @@ def test_triple_scan_matches_reference(name):
     # is measured in ulps of 1, not of the (small) minimum
     assert abs(hc.min_collinearity - margin) <= 4 * np.finfo(float).eps
 
-    small = CurveSample(pts[:: max(1, len(pts) // 30)], False, "subsample")
+    small = CurveSample.of(pts[:: max(1, len(pts) // 30)], False, "subsample")
     ref_images, ref_margin = _pairwise_mobius(lifts(small.points))
     images, mob_margin = mobius_sample(small)
     assert len(images) == len(ref_images)
