@@ -1,16 +1,15 @@
 """Numerical toolkit for the boundary geometry of the complex hyperbolic plane.
 
-Provides Hermitian linear algebra in the Siegel model (the ball model
-remains for scalar lifts and as a chart), the angular invariant of boundary
-triples, C-circle and arc predicates, foliations of complements of (bent)
-curves, triangle-group representations with limit-set sampling, slimness
-estimation, and crown construction with embeddedness certification.
+Provides Hermitian linear algebra in the Siegel model (the ball model is
+only a chart), the angular invariant of boundary triples, C-circle and arc
+predicates, foliations of complements of (bent) curves, triangle-group
+representations with limit-set sampling, slimness estimation, and crown
+construction with embeddedness certification.
 """
 
 __version__ = "0.1.0"
 
 from .hermitian import (
-    Model,
     HVector,
     PointType,
     ProjectivePoint,
@@ -20,9 +19,7 @@ from .hermitian import (
     box,
     det3,
     point_type,
-    cayley,
     GeometryError,
-    ModelMismatchError,
     IndeterminateClassError,
 )
 from .boundary import (

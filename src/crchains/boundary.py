@@ -26,7 +26,6 @@ from .hermitian import (
     GeometryError,
     GroupElement,
     HVector,
-    Model,
     PointType,
     ProjectivePoint,
     _CAYLEY,
@@ -36,7 +35,6 @@ from .hermitian import (
     _null_margin,
     _tame,
     box,
-    cayley,
     herm_inner,
     point_type,
 )
@@ -81,7 +79,7 @@ class BoundaryPoint:
 
         The one-row case of `point_set`.
         """
-        return point_set(cayley(v, Model.SIEGEL).entries[None], tol).points[0]
+        return point_set(v.entries[None], tol).points[0]
 
     def apply(self, g: GroupElement) -> "BoundaryPoint":
         """The image under an isometry: the one-row case of `point_set`."""
@@ -102,7 +100,7 @@ class BoundaryPoint:
     def __str__(self) -> str:
         if self.at_infinity:
             return "inf"
-        return f"[{self.z:.6g}, {self.t:.6g}]"
+        return f"[{complex(self.z):.6g}, {self.t:.6g}]"
 
     def to_json(self):
         """The one-row case of `PointSet.json_points`."""
@@ -220,7 +218,7 @@ def point_set(e: np.ndarray, tol: float = 1e-6) -> PointSet:
     part, so a small residual only perturbs, never breaks, the inversion.
     Rows with |e2| <= 1e-9 |e| are flagged at_infinity.
     """
-    residual = np.abs(_null_margin(e, _H_SIEGEL))
+    residual = np.abs(_null_margin(e))
     bad = residual > tol
     if bad.any():
         raise GeometryError(f"lift is not null (relative residual {residual[bad][0]:.2e})")
@@ -302,7 +300,7 @@ def project_to_line(x: ProjectivePoint, m: ProjectivePoint) -> ProjectivePoint:
     a, c = x.representative, m.representative
     coef = herm_inner(a, c) / herm_inner(c, c)
     res = a.entries - coef * c.entries
-    return point_type(HVector(res, a.model))
+    return point_type(HVector(res))
 
 
 def normalizer_to_standard(a: BoundaryPoint, b: BoundaryPoint) -> GroupElement:

@@ -33,7 +33,6 @@ from .hermitian import (
     GeometryError,
     GroupElement,
     HVector,
-    Model,
     PointType,
     ProjectivePoint,
     TOL_ARC,
@@ -43,7 +42,6 @@ from .hermitian import (
     TOL_PROPORTIONAL,
     _CAYLEY,
     _H_SIEGEL,
-    _H_SIEGEL_INV,
     _box,
     _cross3,
     _herm,
@@ -52,7 +50,6 @@ from .hermitian import (
     _proportional,
     _tame,
     box,
-    cayley,
     herm_inner,
     point_type,
 )
@@ -134,9 +131,9 @@ def circle_relations(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     `CCircle.same_as` are EQUAL.
     """
     same = _proportional(p, q)
-    boxed = _box(p, q, _H_SIEGEL_INV)
+    boxed = _box(p, q)
     with np.errstate(invalid="ignore"):  # proportional polars box to zero: NaN
-        margin = _null_margin(boxed, _H_SIEGEL)
+        margin = _null_margin(boxed)
     meet = np.abs(margin) < TOL_NULL
     kind = np.where(
         same,
@@ -152,8 +149,8 @@ def ccircles_intersect(c1: CCircle, c2: CCircle) -> CircleIntersection:
     The one-row case of `circle_relations`.
     """
     kind, margin, boxed = circle_relations(
-        cayley(c1.polar.representative, Model.SIEGEL).entries[None],
-        cayley(c2.polar.representative, Model.SIEGEL).entries[None],
+        c1.polar.representative.entries[None],
+        c2.polar.representative.entries[None],
     )
     kind, margin = kind[0], float(margin[0])
     if kind is CircleRelation.EQUAL:
@@ -213,7 +210,7 @@ class Arc:
         """
         e = _tame(lifts((self.start, self.end, p)))
         a, b, v = e
-        va, vb, ab = _herm(e[[2, 2, 0]], e[[0, 1, 1]], _H_SIEGEL).tolist()
+        va, vb, ab = _herm(e[[2, 2, 0]], e[[0, 1, 1]]).tolist()
         n = _cross3(a, b)
         residual = float(abs(n @ v) / (np.linalg.norm(n) * np.linalg.norm(v)))
         # the far-endpoint rule, squared: vdot is cheaper than a norm
@@ -602,8 +599,8 @@ def mobius_sample(sample: CurveSample) -> tuple[list[ProjectivePoint], float]:
             f"(det over separations {coll:.2e})"
         )
     i, j = np.triu_indices(v.shape[0], k=1)
-    polars = _box(v[i], v[j], _H_SIEGEL_INV)  # one row per pair
-    kinds, margins = _point_kinds(polars, _H_SIEGEL, TOL_NULL)
+    polars = _box(v[i], v[j])  # one row per pair
+    kinds, margins = _point_kinds(polars, TOL_NULL)
     images = [
         ProjectivePoint(HVector(w), k, m)
         for w, k, m in zip(polars, kinds.tolist(), margins.tolist())

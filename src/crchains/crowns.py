@@ -41,8 +41,6 @@ from .hermitian import (
     IndeterminateClassError,
     TOL_DEDUP,
     TOL_LIFT,
-    _H_SIEGEL,
-    _H_SIEGEL_INV,
     _box,
     _classify_rows,
     _herm,
@@ -235,10 +233,10 @@ def crossing_detector(
         ss = np.ravel(s).tolist()
         # curve(-s) and curve(s) are distinct for s > 0: every chord exists
         a = _tame(curve([-x for x in ss]))
-        chord = _box(a, _tame(curve(ss)), _H_SIEGEL_INV)
-        w = _box(chord, n_axis, _H_SIEGEL_INV)
+        chord = _box(a, _tame(curve(ss)))
+        w = _box(chord, n_axis)
         scale = np.linalg.norm(chord, axis=-1) ** 2 * np.linalg.norm(n_axis) ** 2
-        return (_herm(w, w, _H_SIEGEL).real / scale).reshape(np.shape(s))
+        return (_herm(w, w).real / scale).reshape(np.shape(s))
 
     ss = np.linspace(s_range[0] + 1e-6, s_range[1], 2000)
     vals = f(ss)

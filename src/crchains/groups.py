@@ -34,7 +34,6 @@ from .hermitian import (
     GeometryError,
     GroupElement,
     HVector,
-    Model,
     PointType,
     ProjectivePoint,
     TOL_DEDUP,
@@ -45,7 +44,6 @@ from .hermitian import (
     _classify_rows,
     _null_margin,
     _unit_det,
-    cayley,
     point_type,
 )
 
@@ -112,13 +110,10 @@ class Representation:
 
 
 def complex_reflection(c: ProjectivePoint) -> GroupElement:
-    """Order-two complex reflection fixing the line polar to c pointwise.
-
-    A ball-model mirror is moved to the Siegel model first.
-    """
+    """Order-two complex reflection fixing the line polar to c pointwise."""
     if c.point_type is not PointType.POSITIVE:
         raise GeometryError("reflection mirror must be a positive-type point")
-    v = cayley(c.representative, Model.SIEGEL)
+    v = c.representative
     e = v.entries
     m = -np.eye(3, dtype=complex) + (2.0 / v.norm2) * np.outer(e, np.conj(e) @ _H_SIEGEL)
     return GroupElement(m)
@@ -327,7 +322,7 @@ def _limit_sample(
     lox = kinds == ElementClass.LOXODROMIC
     # attracting, then repelling fixed point of each word, in word order
     fixed = np.stack([attracting[lox], repelling[lox]], axis=1).reshape(-1, 3)
-    null = ~(np.abs(_null_margin(fixed, _H_SIEGEL)) > TOL_LIFT)  # others rejected
+    null = ~(np.abs(_null_margin(fixed)) > TOL_LIFT)  # others rejected
     pts = point_set(fixed[null], TOL_LIFT)
     keep = _Dedup(eps).keep(ball_rows(pts.rows).view(float)[:, None, :])
     pts = pts[keep]

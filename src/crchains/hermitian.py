@@ -1,10 +1,9 @@
-"""Hermitian linear algebra on C^3 for signature (2,1) forms.
+"""Hermitian linear algebra on C^3 for the Siegel form of signature (2,1).
 
-The geometry lives in the Siegel model, with form antidiag(1, 2, 1):
-`GroupElement` preserves that form and acts on Siegel lifts only.  The ball
-model, with form diag(1, 1, -1), remains a second form of the scalar
-`HVector` algebra (`cayley` moves a lift between the two) and the chart
-behind `boundary.ball_rows`.
+The geometry lives in the Siegel model, with form J = antidiag(1, 2, 1):
+every lift is a Siegel lift and `GroupElement` preserves J.  The ball
+model, with form diag(1, 1, -1), is only a chart: the fixed matrix
+`_CAYLEY` carries Siegel lifts to ball lifts for `boundary.ball_rows`.
 The inner product convention is ``<a, b> = b^dagger J a`` (linear in the
 first slot, antilinear in the second).  With the conjugate convention
 every angular invariant computed downstream flips sign.  The algebra is
@@ -40,19 +39,16 @@ class GeometryError(Exception):
     """Base class for geometric failures."""
 
 
-class ModelMismatchError(GeometryError):
-    """Operands live in different Hermitian models."""
-
-
 class IndeterminateClassError(GeometryError):
     """Eigenvalue moduli too close to the classification threshold."""
 
 
-_H_BALL = np.diag([1.0, 1.0, -1.0])
 _H_SIEGEL = np.array([[0.0, 0.0, 1.0], [0.0, 2.0, 0.0], [1.0, 0.0, 0.0]])
+_H_SIEGEL_INV = np.linalg.inv(_H_SIEGEL)
 
-# Transition matrix C with C^T H_BALL C = H_SIEGEL exactly; real symmetric,
-# C^2 = diag(1, 2, 1).  Maps Siegel-model lifts to ball-model lifts.
+# The ball chart: C with C^T diag(1, 1, -1) C = H_SIEGEL, to 4.4e-16 in
+# float64 since 1/sqrt(2) rounds; real symmetric, C^2 = diag(1, 2, 1).
+# Maps Siegel lifts to ball-model lifts.
 _SQ2 = math.sqrt(2.0)
 _CAYLEY = np.array(
     [
@@ -63,24 +59,6 @@ _CAYLEY = np.array(
 )
 _CAYLEY_INV = np.diag([1.0, 0.5, 1.0]) @ _CAYLEY
 
-_H_BALL_INV = np.linalg.inv(_H_BALL)
-_H_SIEGEL_INV = np.linalg.inv(_H_SIEGEL)
-
-
-class Model(Enum):
-    """Choice of Hermitian form on C^3."""
-
-    BALL = "ball"
-    SIEGEL = "siegel"
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return _H_BALL if self is Model.BALL else _H_SIEGEL
-
-    @property
-    def inverse(self) -> np.ndarray:
-        return _H_BALL_INV if self is Model.BALL else _H_SIEGEL_INV
-
 
 class PointType(Enum):
     NEGATIVE = -1
@@ -90,10 +68,9 @@ class PointType(Enum):
 
 @dataclass(frozen=True)
 class HVector:
-    """A nonzero vector of C^3 tagged with its Hermitian model."""
+    """A nonzero Siegel lift in C^3."""
 
     entries: np.ndarray
-    model: Model = Model.SIEGEL
 
     def __post_init__(self):
         v = np.asarray(self.entries, dtype=complex).reshape(3)
@@ -110,25 +87,15 @@ class HVector:
         return herm_inner(self, self).real
 
     def scaled(self, factor: complex) -> "HVector":
-        return HVector(self.entries * factor, self.model)
+        return HVector(self.entries * factor)
 
     def conjugated(self) -> "HVector":
         """Coordinatewise conjugate; form-compatible since J is real."""
-        return HVector(np.conj(self.entries), self.model)
+        return HVector(np.conj(self.entries))
 
     def proportional_to(self, other: "HVector", tol: float = TOL_PROPORTIONAL) -> bool:
         """The one-row case of `_proportional`."""
         return bool(_proportional(self.entries, other.entries, tol))
-
-
-def _check_models(*vs: HVector) -> Model:
-    model = vs[0].model
-    for v in vs[1:]:
-        if v.model is not model:
-            raise ModelMismatchError(
-                f"mixed models {model.value} and {v.model.value}"
-            )
-    return model
 
 
 _ROLL = np.array([1, 2, 0])
@@ -154,20 +121,20 @@ def _proportional(
     return _norm(_cross3(a, b)) < tol * (_norm(a) * _norm(b))
 
 
-def _herm(a: np.ndarray, b: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _herm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hermitian product <a, b> = b^dagger J a."""
-    return (np.conj(b)[..., None, :] @ (j @ a[..., None]))[..., 0, 0]
+    return (np.conj(b)[..., None, :] @ (_H_SIEGEL @ a[..., None]))[..., 0, 0]
 
 
-def _box(a: np.ndarray, b: np.ndarray, jinv: np.ndarray) -> np.ndarray:
+def _box(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Box product conj(J^-1 (a x b)), orthogonal to a and b."""
-    return np.conj(_cross3(a, b) @ jinv.T)
+    return np.conj(_cross3(a, b) @ _H_SIEGEL_INV.T)
 
 
-def _null_margin(v: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Signed relative null margin <v, v> / |v|^2: negative inside the ball."""
+def _null_margin(v: np.ndarray) -> np.ndarray:
+    """Signed relative null margin <v, v> / |v|^2: negative at interior points."""
     vc, vv = np.conj(v)[..., None, :], v[..., None]
-    return (vc @ (j @ vv)).real[..., 0, 0] / (vc @ vv).real[..., 0, 0]
+    return (vc @ (_H_SIEGEL @ vv)).real[..., 0, 0] / (vc @ vv).real[..., 0, 0]
 
 
 # Rows with an entry above 2^160 are scaled down before a rule multiplies
@@ -187,8 +154,7 @@ def _tame(v: np.ndarray) -> np.ndarray:
 
 def herm_inner(a: HVector, b: HVector) -> complex:
     """Hermitian product <a, b> = b^dagger J a."""
-    model = _check_models(a, b)
-    return complex(_herm(a.entries, b.entries, model.matrix))
+    return complex(_herm(a.entries, b.entries))
 
 
 def box(a: HVector, b: HVector) -> HVector | None:
@@ -197,18 +163,16 @@ def box(a: HVector, b: HVector) -> HVector | None:
     Returns None when the inputs are proportional (the cross product
     vanishes and there is no well-defined polar point).
     """
-    model = _check_models(a, b)
     # the rule of `_proportional` at tol 1e-14 and of `_box`, on one cross product
     e, f = a.entries, b.entries
     cross = _cross3(e, f)
     if _norm(cross) < 1e-14 * (_norm(e) * _norm(f)):
         return None
-    return HVector(np.conj(cross @ model.inverse.T), model)
+    return HVector(np.conj(cross @ _H_SIEGEL_INV.T))
 
 
 def det3(a: HVector, b: HVector, c: HVector) -> complex:
     """Determinant of the column lifts; equals <a, b box c>."""
-    _check_models(a, b, c)
     return complex(np.linalg.det(np.column_stack([a.entries, b.entries, c.entries])))
 
 
@@ -230,31 +194,18 @@ class ProjectivePoint:
 _POINT_KINDS = np.array([*PointType], dtype=object)
 
 
-def _point_kinds(v: np.ndarray, j: np.ndarray, tol_null: float):
+def _point_kinds(v: np.ndarray, tol_null: float):
     """PointType and type margin |<v, v>| / |v|^2 of each row of lifts: NULL
     below tol_null, else by the sign of <v, v>, a NaN margin POSITIVE."""
-    margin = _null_margin(v, j)
+    margin = _null_margin(v)
     code = np.where(np.abs(margin) < tol_null, 1, np.where(margin < 0, 0, 2))
     return _POINT_KINDS[code], np.abs(margin)
 
 
 def point_type(v: HVector, tol_null: float = TOL_NULL) -> ProjectivePoint:
     """Classify [v] as negative, null or positive: the one-row `_point_kinds`."""
-    kind, margin = _point_kinds(v.entries, v.model.matrix, tol_null)
+    kind, margin = _point_kinds(v.entries, tol_null)
     return ProjectivePoint(v, kind, float(margin))
-
-
-def cayley(v: HVector, to_model: Model) -> HVector:
-    """Move a lift between the Siegel and ball models.
-
-    The fixed transition matrix satisfies C^T H_ball C = H_siegel exactly,
-    so inner products and point types are preserved.
-    """
-    if v.model is to_model:
-        return v
-    if to_model is Model.BALL:
-        return HVector(_CAYLEY @ v.entries, Model.BALL)
-    return HVector(_CAYLEY_INV @ v.entries, Model.SIEGEL)
 
 
 class ElementClass(Enum):
@@ -314,8 +265,6 @@ class GroupElement:
         return GroupElement(self.matrix @ other.matrix)
 
     def apply(self, v: HVector) -> HVector:
-        if v.model is not Model.SIEGEL:
-            raise ModelMismatchError("isometries act on Siegel-model lifts")
         return HVector(self.matrix @ v.entries)
 
     @cached_property

@@ -32,7 +32,6 @@ from crchains.groups import (
 )
 from crchains.hermitian import (
     HVector,
-    Model,
     box,
     det3,
     herm_inner,
@@ -58,24 +57,24 @@ def test_criterion_01_algebraic_identities():
     t0 = time.time()
     n = 10_000
     worst = 0.0
-    for model, det_j in ((Model.BALL, -1.0), (Model.SIEGEL, -2.0)):
-        raw = RNG.normal(size=(n // 2, 4, 3)) + 1j * RNG.normal(size=(n // 2, 4, 3))
-        raw /= np.linalg.norm(raw, axis=2, keepdims=True)
-        for quad in raw:
-            a, b, c, d = (HVector(v, model) for v in quad)
-            # polar vector against the determinant
-            worst = max(worst, abs(herm_inner(a, box(b, c)) - det3(a, b, c)))
-            # expansion of a product of two polar vectors
-            lhs = herm_inner(box(a, b), box(c, d))
-            rhs = (-1.0 / det_j) * (
-                herm_inner(d, a) * herm_inner(c, b)
-                - herm_inner(c, a) * herm_inner(d, b)
-            )
-            worst = max(worst, abs(lhs - rhs))
-            # double polar recovers the common vector
-            vec = box(box(a, b), box(a, c)).entries
-            ref = (det3(a, b, c) / det_j) * a.entries
-            worst = max(worst, float(np.max(np.abs(vec - ref))))
+    det_j = -2.0  # the determinant of the Siegel form
+    raw = RNG.normal(size=(n, 4, 3)) + 1j * RNG.normal(size=(n, 4, 3))
+    raw /= np.linalg.norm(raw, axis=2, keepdims=True)
+    for quad in raw:
+        a, b, c, d = (HVector(v) for v in quad)
+        # polar vector against the determinant
+        worst = max(worst, abs(herm_inner(a, box(b, c)) - det3(a, b, c)))
+        # expansion of a product of two polar vectors
+        lhs = herm_inner(box(a, b), box(c, d))
+        rhs = (-1.0 / det_j) * (
+            herm_inner(d, a) * herm_inner(c, b)
+            - herm_inner(c, a) * herm_inner(d, b)
+        )
+        worst = max(worst, abs(lhs - rhs))
+        # double polar recovers the common vector
+        vec = box(box(a, b), box(a, c)).entries
+        ref = (det3(a, b, c) / det_j) * a.entries
+        worst = max(worst, float(np.max(np.abs(vec - ref))))
     assert worst < 1e-9
 
     # Cartan invariant: range, antisymmetry, cocycle, isometry invariance

@@ -21,14 +21,21 @@ from crchains.boundary import (
     project_tangent,
     project_to_line,
 )
-from crchains.circles import CurveSample, RCircle, ccircle_through, tangent_polar
+from crchains.circles import (
+    CurveSample,
+    RCircle,
+    bent_curve,
+    ccircle_through,
+    tangent_polar,
+)
 from crchains.groups import diagonal_loxodromic, heisenberg_translation, screw_parabolic
 from crchains.hermitian import (
     GeometryError,
     GroupElement,
     HVector,
-    Model,
     PointType,
+    _CAYLEY,
+    _CAYLEY_INV,
     herm_inner,
     point_type,
     random_form_preserving,
@@ -195,8 +202,9 @@ class TestProjections:
 
 class TestDistancesAndMargins:
     def test_hyp_distance_symmetry(self):
-        a = point_type(HVector(np.array([0.1, 0.2 + 0.1j, 1.0]), Model.BALL))
-        b = point_type(HVector(np.array([-0.3, 0.1j, 1.0]), Model.BALL))
+        # two interior points given by ball-model lifts, moved to Siegel lifts
+        a = point_type(HVector(_CAYLEY_INV @ np.array([0.1, 0.2 + 0.1j, 1.0])))
+        b = point_type(HVector(_CAYLEY_INV @ np.array([-0.3, 0.1j, 1.0])))
         assert hyp_distance(a, b) == pytest.approx(hyp_distance(b, a))
         assert hyp_distance(a, a) == pytest.approx(0.0, abs=1e-7)
 
@@ -226,9 +234,9 @@ class TestDistancesAndMargins:
 
 def _reference_from_lift(e, tol=1e-6):
     """BoundaryPoint.from_lift as it was, one Siegel lift at a time."""
-    from crchains.hermitian import _H_SIEGEL, _null_margin
+    from crchains.hermitian import _null_margin
 
-    residual = abs(_null_margin(e, _H_SIEGEL))
+    residual = abs(_null_margin(e))
     if residual > tol:
         raise GeometryError(f"lift is not null (relative residual {residual:.2e})")
     if abs(e[2]) <= 1e-9 * math.sqrt(np.vdot(e, e).real):
@@ -237,10 +245,8 @@ def _reference_from_lift(e, tol=1e-6):
 
 
 def _reference_ball_coords(p):
-    """BoundaryPoint.ball_coords as it was: the lift moved by `cayley`."""
-    from crchains.hermitian import cayley
-
-    v = cayley(p.lift, Model.BALL).entries
+    """BoundaryPoint.ball_coords as it was: the lift moved by the ball chart."""
+    v = _CAYLEY @ p.lift.entries
     return v[:2] / v[2]
 
 
@@ -422,6 +428,12 @@ class TestRowIsThePoint:
         q = p.apply(GroupElement(np.eye(3)))
         assert q.at_infinity and not p.at_infinity
         assert q == p and hash(q) == hash(p)
+
+    def test_equal_points_print_alike(self):
+        # a point made from a real z and the equal view of a complex row
+        p, q = BoundaryPoint(1000.0, 0.0), bent_curve(3 * math.pi / 4, n=20).points[0]
+        assert p == q
+        assert str(p) == str(q) == "[1000+0j, 0]"
 
     def test_curve_sample_json_keeps_a_far_point(self):
         far = BoundaryPoint(1e5j, 0).apply(GroupElement(np.eye(3)))

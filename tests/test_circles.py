@@ -515,12 +515,12 @@ def _blockwise_mobius_margin(polars, block=512):
 def test_mobius_margin_matches_blockwise_reference(curve):
     """The k-d tree closest pair is the all-pairs minimum, to a few ulps."""
     from crchains.boundary import lifts
-    from crchains.hermitian import HVector, _H_SIEGEL_INV, _box, point_type
+    from crchains.hermitian import HVector, _box, point_type
 
     sample = curve()
     v = lifts(sample.points)
     i, j = np.triu_indices(len(v), k=1)
-    polars = _box(v[i], v[j], _H_SIEGEL_INV)
+    polars = _box(v[i], v[j])
     images, margin = mobius_sample(sample)
     for img, w in zip(images, polars, strict=True):
         ref = point_type(HVector(w))

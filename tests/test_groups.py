@@ -37,9 +37,6 @@ from crchains.hermitian import (
     GeometryError,
     GroupElement,
     HVector,
-    Model,
-    PointType,
-    cayley,
     classify,
     herm_inner,
     point_type,
@@ -88,20 +85,6 @@ class TestComplexReflection:
     def test_null_mirror_rejected(self):
         with pytest.raises(GeometryError):
             complex_reflection(point_type(HVector(np.array([1.0, 0.0, 0.0]))))
-
-    def test_ball_mirror_reflects_in_siegel(self):
-        # a ball-model mirror gives the reflection of its Siegel image
-        rng = np.random.default_rng(15)
-        mirrors = [
-            point_type(HVector(rng.normal(size=3) + 1j * rng.normal(size=3), Model.BALL))
-            for _ in range(40)
-        ]
-        mirrors = [c for c in mirrors if c.point_type is PointType.POSITIVE]
-        assert len(mirrors) >= 10
-        for c in mirrors:
-            got = complex_reflection(c).matrix
-            siegel = point_type(cayley(c.representative, Model.SIEGEL))
-            assert np.abs(got - complex_reflection(siegel).matrix).max() <= 1e-12
 
 
 class TestTriangleGroup:

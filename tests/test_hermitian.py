@@ -12,18 +12,17 @@ from crchains.hermitian import (
     GroupElement,
     HVector,
     IndeterminateClassError,
-    Model,
-    ModelMismatchError,
     PointType,
     TOL_NULL,
     _CAYLEY,
+    _CAYLEY_INV,
+    _H_SIEGEL,
     _central_normalize,
     _box,
     _herm,
     _null_margin,
     _proportional,
     box,
-    cayley,
     classify,
     det3,
     herm_inner,
@@ -35,14 +34,13 @@ from crchains.hermitian import (
 RNG = np.random.default_rng(20240817)
 
 
-def rand_vec(model=Model.SIEGEL):
-    return HVector(RNG.normal(size=3) + 1j * RNG.normal(size=3), model)
+def rand_vec():
+    return HVector(RNG.normal(size=3) + 1j * RNG.normal(size=3))
 
 
 class TestForms:
     def test_siegel_form_matrix(self):
-        j = Model.SIEGEL.matrix
-        assert np.array_equal(j, [[0, 0, 1], [0, 2, 0], [1, 0, 0]])
+        assert np.array_equal(_H_SIEGEL, [[0, 0, 1], [0, 2, 0], [1, 0, 0]])
 
     def test_inner_is_hermitian(self):
         for _ in range(50):
@@ -65,26 +63,20 @@ class TestForms:
         assert o.norm2 == pytest.approx(0.0)
         assert inf.norm2 == pytest.approx(0.0)
 
-    def test_model_mismatch_raises(self):
-        with pytest.raises(ModelMismatchError):
-            herm_inner(rand_vec(Model.SIEGEL), rand_vec(Model.BALL))
+    def test_hvector_single_field(self):
+        from dataclasses import fields
+
+        assert [f.name for f in fields(HVector)] == ["entries"]
 
 
 class TestCayley:
-    def test_transition_preserves_form(self):
-        for _ in range(50):
-            a, b = rand_vec(), rand_vec()
-            ca, cb = cayley(a, Model.BALL), cayley(b, Model.BALL)
-            assert herm_inner(ca, cb) == pytest.approx(herm_inner(a, b), abs=1e-12)
-
-    def test_round_trip(self):
-        v = rand_vec()
-        w = cayley(cayley(v, Model.BALL), Model.SIEGEL)
-        assert np.allclose(v.entries, w.entries)
-
-    def test_ball_center_is_siegel_interior(self):
-        center = HVector(np.array([0.0, 0.0, 1.0]), Model.BALL)
-        assert point_type(cayley(center, Model.SIEGEL)).point_type is PointType.NEGATIVE
+    def test_chart_carries_ball_form_to_siegel(self):
+        # C^T diag(1, 1, -1) C = J, the identity `ball_rows` rests on; 1/sqrt(2)
+        # rounds, so it holds to a few ulps
+        ball_form = _CAYLEY.T @ np.diag([1.0, 1.0, -1.0]) @ _CAYLEY
+        assert np.abs(ball_form - _H_SIEGEL).max() <= 1e-15
+        # _realize_gram moves ball-model columns back with the inverse chart
+        assert np.abs(_CAYLEY_INV @ _CAYLEY - np.eye(3)).max() <= 1e-15
 
 
 class TestBox:
@@ -106,25 +98,22 @@ class TestBox:
             lhs = herm_inner(a, box(b, c))
             assert lhs == pytest.approx(det3(a, b, c), rel=1e-10)
 
-    @pytest.mark.parametrize("model", [Model.BALL, Model.SIEGEL])
-    def test_expansion_identity(self, model):
-        # <a box b, c box d> = -(1/det J)(<d,a><c,b> - <c,a><d,b>);
-        # the constant is 1 for the ball form and 1/2 for the Siegel form
-        factor = -1.0 / np.linalg.det(model.matrix)
+    def test_expansion_identity(self):
+        # <a box b, c box d> = -(1/det J)(<d,a><c,b> - <c,a><d,b>), det J = -2
+        factor = -1.0 / np.linalg.det(_H_SIEGEL)
         for _ in range(100):
-            a, b, c, d = (rand_vec(model) for _ in range(4))
+            a, b, c, d = (rand_vec() for _ in range(4))
             lhs = herm_inner(box(a, b), box(c, d))
             rhs = herm_inner(d, a) * herm_inner(c, b) - herm_inner(
                 c, a
             ) * herm_inner(d, b)
             assert lhs == pytest.approx(factor * rhs, rel=1e-10)
 
-    @pytest.mark.parametrize("model", [Model.BALL, Model.SIEGEL])
-    def test_double_box_identity(self, model):
+    def test_double_box_identity(self):
         # (a box b) box (a box c) = (1/det J) det(a, b, c) a
-        factor = 1.0 / np.linalg.det(model.matrix)
+        factor = 1.0 / np.linalg.det(_H_SIEGEL)
         for _ in range(50):
-            a, b, c = rand_vec(model), rand_vec(model), rand_vec(model)
+            a, b, c = rand_vec(), rand_vec(), rand_vec()
             lhs = box(box(a, b), box(a, c))
             rhs = a.scaled(factor * det3(a, b, c))
             assert np.allclose(lhs.entries, rhs.entries, rtol=1e-9, atol=1e-9)
@@ -132,7 +121,7 @@ class TestBox:
 
 class TestPointType:
     def test_interior_point(self):
-        v = HVector(np.array([0.0, 0.0, 1.0]), Model.BALL)
+        v = HVector(np.array([-1.0, 0.0, 1.0]))  # the ball centre; <v, v> = -2
         assert point_type(v).point_type is PointType.NEGATIVE
 
     def test_polar_point(self):
@@ -163,11 +152,6 @@ class TestGroupElement:
         from dataclasses import fields
 
         assert [f.name for f in fields(GroupElement)] == ["matrix"]
-
-    def test_apply_to_ball_lift_raises(self):
-        # isometries act on Siegel lifts; a ball lift is moved by `cayley` first
-        with pytest.raises(ModelMismatchError):
-            random_form_preserving(RNG).apply(rand_vec(Model.BALL))
 
 
 class TestClassification:
@@ -230,11 +214,11 @@ class TestErrors:
 
 
 # Reference bodies of the scalar functions from before the array kernel,
-# kept verbatim apart from J^-1, which they took from Model.inverse.
+# kept verbatim apart from the form, which they took from the lift's model tag.
 
 
 def _scalar_herm_inner(a, b):
-    return complex(np.conj(b.entries) @ (a.model.matrix @ a.entries))
+    return complex(np.conj(b.entries) @ (_H_SIEGEL @ a.entries))
 
 
 def _scalar_box(a, b):
@@ -242,7 +226,7 @@ def _scalar_box(a, b):
     scale = float(np.linalg.norm(a.entries) * np.linalg.norm(b.entries))
     if np.linalg.norm(cross) < 1e-14 * scale:
         return None
-    return HVector(np.conj(np.linalg.inv(a.model.matrix) @ cross), a.model)
+    return HVector(np.conj(np.linalg.inv(_H_SIEGEL) @ cross))
 
 
 def _scalar_point_type(v, tol_null=TOL_NULL):
@@ -258,8 +242,7 @@ def _bits(x):
     return np.asarray(x).tobytes()
 
 
-@pytest.mark.parametrize("model", list(Model))
-def test_kernel_matches_scalar_reference(model):
+def test_kernel_matches_scalar_reference():
     """_herm, _box and _null_margin give the old scalar results bit for bit,
     one vector at a time and batched over leading axes."""
     rng = np.random.default_rng(31)
@@ -270,27 +253,26 @@ def test_kernel_matches_scalar_reference(model):
     # null rows too: standard lifts of random boundary points
     z = rng.normal(size=n // 4) + 1j * rng.normal(size=n // 4)
     null = np.stack([-abs(z) ** 2 + 1j * rng.normal(size=n // 4), z, np.ones(n // 4)], 1)
-    a[: n // 4] = null if model is Model.SIEGEL else null @ _CAYLEY.T
-    j, jinv = model.matrix, model.inverse
-    herm, polar, margin = _herm(a, b, j), _box(a, b, jinv), _null_margin(a, j)
+    a[: n // 4] = null
+    herm, polar, margin = _herm(a, b), _box(a, b), _null_margin(a)
     # a (4, n/4, 3) stack gives the same rows as the flat batch
     stacked = a.reshape(4, n // 4, 3), b.reshape(4, n // 4, 3)
-    assert _bits(_herm(*stacked, j)) == _bits(herm.reshape(4, n // 4))
-    assert _bits(_box(*stacked, jinv)) == _bits(polar.reshape(4, n // 4, 3))
-    assert _bits(_null_margin(stacked[0], j)) == _bits(margin.reshape(4, n // 4))
+    assert _bits(_herm(*stacked)) == _bits(herm.reshape(4, n // 4))
+    assert _bits(_box(*stacked)) == _bits(polar.reshape(4, n // 4, 3))
+    assert _bits(_null_margin(stacked[0])) == _bits(margin.reshape(4, n // 4))
     kinds = set()
     for k in range(n):
-        va, vb = HVector(a[k], model), HVector(b[k], model)
+        va, vb = HVector(a[k]), HVector(b[k])
         ref = _scalar_herm_inner(va, vb)
         assert _bits(herm_inner(va, vb)) == _bits(ref)
-        assert _bits(_herm(a[k], b[k], j)) == _bits(herm[k]) == _bits(ref)
+        assert _bits(_herm(a[k], b[k])) == _bits(herm[k]) == _bits(ref)
         ref_box = _scalar_box(va, vb).entries
         assert _bits(box(va, vb).entries) == _bits(ref_box)
-        assert _bits(_box(a[k], b[k], jinv)) == _bits(polar[k]) == _bits(ref_box)
+        assert _bits(_box(a[k], b[k])) == _bits(polar[k]) == _bits(ref_box)
         kind, ref_margin = _scalar_point_type(va)
         pt = point_type(va)
         assert pt.point_type is kind and _bits(pt.type_margin) == _bits(ref_margin)
-        assert _bits(abs(_null_margin(a[k], j))) == _bits(abs(margin[k])) == _bits(ref_margin)
+        assert _bits(abs(_null_margin(a[k]))) == _bits(abs(margin[k])) == _bits(ref_margin)
         kinds.add(kind)
     assert kinds == set(PointType)
 

@@ -18,8 +18,8 @@ from crchains.groups import TriangleParams, triangle_group, limit_set
 from crchains.hermitian import (
     GeometryError,
     HVector,
-    Model,
-    cayley,
+    _CAYLEY,
+    _H_SIEGEL_INV,
     point_type,
 )
 from crchains.slimness import (
@@ -237,14 +237,13 @@ def _pairwise_collinearity(lifts):
 
 
 def _pairwise_mobius(lifts):
-    jinv = Model.SIEGEL.inverse
     images, coords = [], []
     n = lifts.shape[0]
     for i in range(n):
         for j in range(i + 1, n):
-            w = np.conj(jinv @ np.cross(lifts[i], lifts[j]))
+            w = np.conj(_H_SIEGEL_INV @ np.cross(lifts[i], lifts[j]))
             images.append(point_type(HVector(w)))
-            b = cayley(HVector(w), Model.BALL).entries
+            b = _CAYLEY @ w
             denom = b[2] if abs(b[2]) > 1e-200 else 1e-200
             coords.append(b[:2] / denom)
     rep = np.array(coords)
