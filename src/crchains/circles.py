@@ -41,7 +41,6 @@ from .hermitian import (
     TOL_NULL,
     TOL_PROPORTIONAL,
     _CAYLEY,
-    _H_SIEGEL,
     _box,
     _cross3,
     _herm,
@@ -344,43 +343,52 @@ def _real_up_to_scale(row: tuple, tol: float) -> bool:
 def foliation_leaf_rcircle(p: BoundaryPoint) -> Arc:
     """Leaf through p of the arc foliation of the standard R-circle complement.
 
-    The tangent line at p meets the real projective plane in one point m;
-    the circle polar to m hits the R-circle twice, and the leaf is the side
-    containing p.
+    The leaf lies on the chain through p and two points [x, 0]: p's row
+    (w, z, 1) is in the span of their lifts (-x^2, x, 1).  With u = Re z,
+    y = Im z and t = Im w, the two x are the real roots of
+    y x^2 + t x + c = 0, c = Re(w) y - t u.  The discriminant is the sum of
+    squares (t + 2uy)^2 + (2y^2)^2, so with
+    q = -(t + sign(t) hypot(t + 2uy, 2y^2)) / 2 the far root x1 = q / y and
+    the near root x2 = c / q carry no cancellation.  The far end is
+    infinity when y = 0 (the vertical chain through [u, 0]) or when [x1, 0]
+    has no finite lift.
+
+    The leaf is the side where p's chart parameter is positive: for the arc
+    from a to b, the sign of -Im(<v,a> conj <v,b>), where
+    <v,a> = -(x1 - u)^2 - y^2 + i(2 x1 y + t) and 2 x1 y + t = y (x1 - x2).
+    That is y (x1 - x2) times a positive number, and since |x1| > |x2| it
+    has the sign of q, that of -t.  So the leaf runs from the near end to
+    the far end when t > 0, ([u, 0], inf) on a vertical chain, and back
+    when t < 0; at t = +-0 both sign bits give the same arc.  GeometryError
+    when the leaf misses p by a normalized residual above 1e-6.
     """
     if _real_up_to_scale(p.row, 1e-8):  # RCircle.standard().contains(p)
         raise GeometryError("point lies on the R-circle")
-    v = p.lift
-    m = box(v, v.conjugated())  # not None: off the R-circle, v is not real up to scale
-    # Projectively real: rotate the phase away and keep the real part.
-    entries = m.entries
-    k = int(np.argmax(np.abs(entries)))
-    entries = entries / entries[k]
-    m_real = np.real(entries)
-    a, b = _real_null_points_on_polar(m_real)
-    arc = Arc(a, b)
-    t, res = arc.param_of(p)
-    if res > 1e-6:
+    w, z, _ = p.row
+    u, y, t = float(z.real), float(z.imag), w.imag
+    if y == 0:
+        x1, x2 = math.inf, u
+    else:
+        c = w.real * y - t * u
+        q = -0.5 * (t + math.copysign(math.hypot(t + 2.0 * u * y, 2.0 * y * y), t))
+        x1, x2 = q / y, c / q
+    near = BoundaryPoint(x2, 0.0)
+    try:
+        far = BoundaryPoint(x1, 0.0)
+    except GeometryError:  # y = 0, or [x1, 0] is within ~1e-154 of infinity
+        far = INFINITY
+    # |det(v, a, b)| / (|a x b| |v|), as in `Arc.param_of`: a x b is along
+    # (1, x1 + x2, -x1 x2) for two finite ends and along (0, 1, -x) for
+    # [x, 0] and infinity; hypot, not squares, so a far root cannot overflow
+    if far is INFINITY:
+        res = math.hypot(u - x2, y) / math.hypot(1.0, x2)
+    else:
+        s, prod = x1 + x2, x1 * x2
+        res = math.hypot(w.real + s * u - prod, t + s * y) / math.hypot(1.0, s, prod)
+    res /= math.hypot(w.real, t, u, y, 1.0)
+    if not res <= 1e-6:  # NaN fails too
         raise GeometryError(f"leaf construction failed (residual {res:.2e})")
-    return arc if t > 0 else arc.opposite()
-
-
-def _real_null_points_on_polar(m_real: np.ndarray) -> tuple[BoundaryPoint, BoundaryPoint]:
-    """The two real null points orthogonal to a real positive vector."""
-    u = _H_SIEGEL @ m_real
-    # <lift(x), m> = 0 with lift (-x^2, x, 1): -u0 x^2 + u1 x + u2 = 0.
-    a_c, b_c, c_c = -u[0], u[1], u[2]
-    scale = float(np.linalg.norm(u))
-    if abs(a_c) < 1e-12 * scale:
-        x = -c_c / b_c
-        return BoundaryPoint(float(x), 0.0), INFINITY
-    disc = b_c * b_c - 4 * a_c * c_c
-    if disc < 0:
-        raise GeometryError("polar circle misses the R-circle")
-    r = math.sqrt(disc)
-    x1 = (-b_c + r) / (2 * a_c)
-    x2 = (-b_c - r) / (2 * a_c)
-    return BoundaryPoint(float(x1), 0.0), BoundaryPoint(float(x2), 0.0)
+    return Arc(near, far) if math.copysign(1.0, t) > 0 else Arc(far, near)
 
 
 def bent_curve(

@@ -89,10 +89,6 @@ class HVector:
     def scaled(self, factor: complex) -> "HVector":
         return HVector(self.entries * factor)
 
-    def conjugated(self) -> "HVector":
-        """Coordinatewise conjugate; form-compatible since J is real."""
-        return HVector(np.conj(self.entries))
-
     def proportional_to(self, other: "HVector", tol: float = TOL_PROPORTIONAL) -> bool:
         """The one-row case of `_proportional`."""
         return bool(_proportional(self.entries, other.entries, tol))

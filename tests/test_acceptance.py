@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from crchains.boundary import BoundaryPoint, INFINITY, cartan
+from crchains.boundary import BoundaryPoint, cartan
 from crchains.circles import (
     ArcRelation,
     BENT_CERT_RATIO,

@@ -13,7 +13,6 @@ from crchains.circles import (
     Arc,
     ArcRelation,
     BENT_CERT_RATIO,
-    CCircle,
     CircleRelation,
     CurveSample,
     RCircle,
@@ -31,10 +30,16 @@ from crchains.circles import (
     spiral_curve,
     spiral_point,
     tangent_polar,
-    _real_null_points_on_polar,
 )
-from crchains.groups import diagonal_loxodromic, heisenberg_translation
-from crchains.hermitian import GeometryError, box, herm_inner, random_form_preserving
+from crchains.groups import diagonal_loxodromic
+from crchains.hermitian import (
+    GeometryError,
+    HVector,
+    _H_SIEGEL,
+    box,
+    herm_inner,
+    random_form_preserving,
+)
 
 RNG = np.random.default_rng(20240819)
 
@@ -563,13 +568,33 @@ def test_mobius_sample_memory_is_linear_in_pairs():
     assert peak < 50e6
 
 
+def _real_null_points_on_polar(m_real: np.ndarray) -> tuple[BoundaryPoint, BoundaryPoint]:
+    """The two real null points orthogonal to a real positive vector."""
+    u = _H_SIEGEL @ m_real
+    # <lift(x), m> = 0 with lift (-x^2, x, 1): -u0 x^2 + u1 x + u2 = 0.
+    a_c, b_c, c_c = -u[0], u[1], u[2]
+    scale = float(np.linalg.norm(u))
+    if abs(a_c) < 1e-12 * scale:
+        x = -c_c / b_c
+        return BoundaryPoint(float(x), 0.0), INFINITY
+    disc = b_c * b_c - 4 * a_c * c_c
+    if disc < 0:
+        raise GeometryError("polar circle misses the R-circle")
+    r = math.sqrt(disc)
+    x1 = (-b_c + r) / (2 * a_c)
+    x2 = (-b_c - r) / (2 * a_c)
+    return BoundaryPoint(float(x1), 0.0), BoundaryPoint(float(x2), 0.0)
+
+
 def _reference_leaf_rcircle(p):
-    """foliation_leaf_rcircle as it was: the R-circle test maps p through
+    """foliation_leaf_rcircle as it was at first: the polar of p's box with
+    its conjugate, rounded to a real vector, meets the R-circle in the two
+    ends, and `param_of` picks the side; the R-circle test maps p through
     the standard frame."""
     if RCircle.standard().contains(p):
         raise GeometryError("point lies on the R-circle")
     v = p.lift
-    m = box(v, v.conjugated())
+    m = box(v, HVector(np.conj(v.entries)))
     entries = m.entries / m.entries[int(np.argmax(np.abs(m.entries)))]
     a, b = _real_null_points_on_polar(np.real(entries))
     arc = Arc(a, b)
@@ -586,7 +611,11 @@ def test_rcircle_leaf_matches_frame_reference():
     # off the R-circle by one coordinate only
     points += [BoundaryPoint(2.0, 0.5), BoundaryPoint(2.0 + 0.5j, 0.0)]
     for p in points:
-        assert foliation_leaf_rcircle(p) == _reference_leaf_rcircle(p)
+        leaf, ref = foliation_leaf_rcircle(p), _reference_leaf_rcircle(p)
+        # the same order, each end within 1e-12 chordal (7.8e-14 measured):
+        # the two bodies round the ends differently
+        assert leaf.start.chordal(ref.start) <= 1e-12
+        assert leaf.end.chordal(ref.end) <= 1e-12
     on_circle = [INFINITY, BoundaryPoint(0.0, 0.0), BoundaryPoint(-2.5, 0.0)]
     on_circle += [BoundaryPoint(3.0 + 1e-9j, -1e-9), RCircle.standard().sample(6).points[2]]
     for p in on_circle:
@@ -594,6 +623,87 @@ def test_rcircle_leaf_matches_frame_reference():
             foliation_leaf_rcircle(p)
         with pytest.raises(GeometryError, match="on the R-circle"):
             _reference_leaf_rcircle(p)
+
+
+def _mp_leaf_ends(p):
+    """The ends of the R-circle leaf through p at 60 digits, in leaf order;
+    None is infinity.
+
+    The ends are the real roots of y x^2 + t x + c, c = -|z|^2 y - t u, for
+    the null lift (-|z|^2 + it, z, 1) of p = [u + iy, t], by the stable
+    formula (q / y, c / q): the naive (-t +- sqrt(D)) / 2y cancels past 60
+    digits once y is below about 1e-60.  D is written as the sum of squares
+    (t + 2uy)^2 + 4y^4 that it equals, so it cannot cancel either.  The
+    side is the sign of -Im(<v,a> conj <v,b>).
+    """
+    import mpmath
+
+    with mpmath.workdps(60):
+        u, y, t = (mpmath.mpf(float(x)) for x in (p.z.real, p.z.imag, p.t))
+        if y == 0:
+            return (u, None) if t > 0 else (None, u)
+        c = -(u * u + y * y) * y - t * u
+        h = mpmath.sqrt((t + 2 * u * y) ** 2 + 4 * y**4)
+        q = -(t + (h if t >= 0 else -h)) / 2
+        a, b = q / y, c / q
+
+        def inner(x):  # <v, (-x^2, x, 1)>
+            return mpmath.mpc(-((x - u) ** 2) - y * y, 2 * x * y + t)
+
+        return (a, b) if -(inner(a) * mpmath.conj(inner(b))).imag > 0 else (b, a)
+
+
+def _mp_chordal(e, x):
+    """Chordal distance at 60 digits between the end e and [x, 0], None
+    being infinity: [x, 0] has ball coordinates (x^2 - 1, -2x) / (x^2 + 1),
+    infinity (1, 0)."""
+    import mpmath
+
+    def ball(v):
+        return (1, 0) if v is None else ((v * v - 1) / (v * v + 1), -2 * v / (v * v + 1))
+
+    with mpmath.workdps(60):
+        (a0, a1), (b0, b1) = ball(None if e.at_infinity else mpmath.mpf(float(e.z.real))), ball(x)
+        return float(mpmath.hypot(a0 - b0, a1 - b1))
+
+
+def test_rcircle_leaf_matches_60_digit_roots():
+    """Over |z| from 1e-12 to 1e8 and Im z / |z| down to 1e-300, every leaf
+    has its ends within 1e-13 chordal of the 60-digit roots, in their order,
+    and carries p on its positive side.  A point is refused only as on the
+    R-circle.  The earlier construction, through a real polar rounded from
+    p's box with its conjugate, refused points next to vertical chains such
+    as the first two pinned below, and put far ends up to 8.1e-7 chordal
+    off on this sample."""
+    rng = np.random.default_rng(20)
+    points = []
+    for _ in range(2500):
+        r, s = 10 ** rng.uniform(-12, 8), 10 ** rng.uniform(-300, 0)
+        z = r * complex(rng.choice([-1, 1]) * math.sqrt(1 - s * s), rng.choice([-1, 1]) * s)
+        points.append(BoundaryPoint(z, rng.choice([-1, 1]) * r * r * 10 ** rng.uniform(-8, 8)))
+    pinned = [
+        BoundaryPoint(0.110726 + 1.24784e-15j, 0.000363401),
+        BoundaryPoint(-0.106033 - 1.04758e-13j, 0.00809686),
+        BoundaryPoint(1 + 1e-200j, 1.0),
+        BoundaryPoint(2.0, 0.5),
+        BoundaryPoint(2.0, -0.5),
+    ]
+    leaves = 0
+    for p in pinned + points:
+        try:
+            leaf = foliation_leaf_rcircle(p)
+        except GeometryError as exc:
+            assert p not in pinned and "on the R-circle" in str(exc)
+            assert RCircle.standard().contains(p)
+            continue
+        a, b = _mp_leaf_ends(p)
+        assert _mp_chordal(leaf.start, a) <= 1e-13 and _mp_chordal(leaf.end, b) <= 1e-13
+        assert leaf.param_of(p)[0] > 0
+        leaves += 1
+    assert leaves > 1000
+    assert foliation_leaf_rcircle(pinned[2]).end is INFINITY
+    up, down = foliation_leaf_rcircle(pinned[3]), foliation_leaf_rcircle(pinned[4])
+    assert (up.start, up.end) == (down.end, down.start) == (BoundaryPoint(2.0, 0.0), INFINITY)
 
 
 def _reference_param_of(arc, p):
@@ -669,7 +779,10 @@ def test_param_of_with_a_far_endpoint(far):
 
 
 def test_leaves_match_least_squares_reference(monkeypatch):
-    """Both foliations pick the same leaves through the old chart inverse."""
+    """Both foliations pick the same leaves through the old chart inverse.
+
+    The R-circle leaf picks its side without `Arc.param_of`, so the old
+    chart inverse checks that side directly: it reads p on the leaf."""
     rng = np.random.default_rng(22)
     rpoints = [
         BoundaryPoint(complex(*rng.normal(scale=1.5, size=2)), float(rng.normal(scale=2.0)))
@@ -680,12 +793,11 @@ def test_leaves_match_least_squares_reference(monkeypatch):
         theta = rng.uniform(math.pi / 2, 3 * math.pi / 2)
         r, phi = rng.uniform(0.3, 3.0), rng.uniform(0.1, 2 * math.pi - 0.1)
         bent.append((BoundaryPoint(r * complex(math.cos(phi), math.sin(phi)), rng.normal()), theta))
-    leaves = [foliation_leaf_rcircle(p) for p in rpoints]
-    leaves += [bent_leaf(p, theta) for p, theta in bent]
+    for p in rpoints:
+        assert _reference_param_of(foliation_leaf_rcircle(p), p)[0] > 0
+    leaves = [bent_leaf(p, theta) for p, theta in bent]
     monkeypatch.setattr(Arc, "param_of", _reference_param_of)
-    ref = [foliation_leaf_rcircle(p) for p in rpoints]
-    ref += [bent_leaf(p, theta) for p, theta in bent]
-    assert leaves == ref
+    assert leaves == [bent_leaf(p, theta) for p, theta in bent]
 
 
 def test_coincident_consecutive_points_rejected():

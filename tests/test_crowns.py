@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from crchains.boundary import BoundaryPoint, INFINITY, PointSet, lifts
+from crchains.boundary import BoundaryPoint, PointSet, lifts
 from crchains.slimness import sup_cartan
 from crchains.circles import (
     Arc,

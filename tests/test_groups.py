@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crchains import groups
-from crchains.boundary import BoundaryPoint, INFINITY, lifts, normalizer_to_standard
+from crchains.boundary import BoundaryPoint, INFINITY, lifts
 from crchains.circles import Arc, ArcRelation, arcs_intersect
 from crchains.crowns import (
     Crown,
@@ -20,7 +20,6 @@ from crchains.crowns import (
     embeddedness,
 )
 from crchains.groups import (
-    LimitSetSample,
     TriangleParams,
     _angular_order,
     complex_reflection,

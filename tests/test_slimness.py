@@ -24,8 +24,6 @@ from crchains.hermitian import (
 )
 from crchains.slimness import (
     MAX_SCAN_POINTS,
-    HyperconvexityReport,
-    SlimnessReport,
     hyperconvexity,
     parabolic_obstruction_demo,
     sup_cartan,
