@@ -27,12 +27,6 @@ from .boundary import (
     INFINITY,
     CartanValue,
     cartan,
-    hyp_distance,
-    project_to_line,
-    project_star,
-    project_tangent,
-    paraboloid_margin,
-    normalizer_to_standard,
 )
 from .circles import (
     CCircle,
@@ -42,14 +36,11 @@ from .circles import (
     ccircle_through,
     ccircles_intersect,
     arcs_intersect,
-    tangent_polar,
     foliation_leaf_rcircle,
     bent_curve,
     bent_certificate,
     bent_leaf,
     spiral_curve,
-    mobius_sample,
-    flow_point,
 )
 from .groups import (
     TriangleParams,

@@ -1,4 +1,4 @@
-"""Boundary points and point sets, the angular invariant, distances, projections.
+"""Boundary points and point sets, and the angular invariant.
 
 A boundary point is stored as one Siegel lift, its `row`: the standard lift
 (-|z|^2 + it, z, 1) of a finite point [z, t], or (1, 0, 0) for infinity, an
@@ -26,17 +26,11 @@ from .hermitian import (
     GeometryError,
     GroupElement,
     HVector,
-    PointType,
-    ProjectivePoint,
     _CAYLEY,
     _H_SIEGEL,
-    _H_SIEGEL_INV,
     _HUGE,
     _null_margin,
     _tame,
-    box,
-    herm_inner,
-    point_type,
 )
 
 
@@ -278,79 +272,3 @@ def best_triple(n: int, block, sign: int = 1) -> tuple[float, tuple[int, int, in
             best, witness = float(vals[i, k]), (int(i), j, j + 1 + int(k))
     return sign * best, witness
 
-
-def hyp_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
-    """Hyperbolic distance between two negative-type points."""
-    if p.point_type is not PointType.NEGATIVE or q.point_type is not PointType.NEGATIVE:
-        raise GeometryError("distance requires negative-type points")
-    a, b = p.representative, q.representative
-    num = herm_inner(a, b) * herm_inner(b, a)
-    den = herm_inner(a, a) * herm_inner(b, b)
-    ratio = (num / den).real
-    ratio = max(ratio, 1.0)
-    return 2.0 * math.acosh(math.sqrt(ratio))
-
-
-def project_to_line(x: ProjectivePoint, m: ProjectivePoint) -> ProjectivePoint:
-    """Orthogonal projection of x onto the complex line polar to m."""
-    if m.point_type is not PointType.POSITIVE:
-        raise GeometryError("projection target must be a positive-type point")
-    if x.proportional_to(m):
-        raise GeometryError("cannot project the polar point itself")
-    a, c = x.representative, m.representative
-    coef = herm_inner(a, c) / herm_inner(c, c)
-    res = a.entries - coef * c.entries
-    return point_type(HVector(res))
-
-
-def normalizer_to_standard(a: BoundaryPoint, b: BoundaryPoint) -> GroupElement:
-    """Form-preserving element sending a to the origin and b to infinity."""
-    if a.close_to(b):
-        raise GeometryError("normalization requires two distinct points")
-    va, vb = a.lift, b.lift
-    m = box(va, vb)
-    assert m is not None
-    # Columns (b', m', a') of the inverse frame the Siegel form, F^dagger J F = J,
-    # so the inverse is J^-1 F^dagger J.
-    vb_s = vb.scaled(np.conj(1.0 / herm_inner(va, vb)))
-    m_s = m.scaled(1.0 / math.sqrt(m.norm2 / 2.0))
-    frame = np.column_stack([vb_s.entries, m_s.entries, va.entries])
-    return GroupElement(_H_SIEGEL_INV @ frame.conj().T @ _H_SIEGEL)
-
-
-def project_star(
-    e: BoundaryPoint, a: BoundaryPoint, b: BoundaryPoint
-) -> ProjectivePoint:
-    """Line-map projection of e onto the complex line through a and b.
-
-    The image is the intersection of the tangent line at e with the line
-    through a and b; it always lies outside the closed ball.
-    """
-    if e.close_to(a) or e.close_to(b):
-        raise GeometryError("projection of an endpoint is undefined")
-    g = normalizer_to_standard(a, b)
-    w0 = e.apply(g).row[0]  # of the standard lift (w0, z, 1): e is not b
-    res = HVector(np.array([-np.conj(w0), 0.0, 1.0]))
-    back = g.inverse().apply(res)
-    return point_type(back)
-
-
-def project_tangent(e: BoundaryPoint, p: BoundaryPoint) -> ProjectivePoint:
-    """Projection onto the tangent line at e: p maps to p box e, e to itself."""
-    if e.close_to(p):
-        return point_type(e.lift)
-    res = box(p.lift, e.lift)
-    assert res is not None
-    return point_type(res)
-
-
-def paraboloid_margin(p: BoundaryPoint, alpha: float) -> float:
-    """Signed slack tan(alpha)|z|^2 - |t| of the slimness paraboloid region.
-
-    Nonnegative exactly when |A(infinity, origin, p)| <= alpha.
-    """
-    if not 0.0 <= alpha < math.pi / 2:
-        raise GeometryError("cone angle must lie in [0, pi/2)")
-    if p.at_infinity:
-        raise GeometryError("margin is defined for finite points")
-    return math.tan(alpha) * abs(p.z) ** 2 - abs(p.t)

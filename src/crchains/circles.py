@@ -25,7 +25,6 @@ from .boundary import (
     ball_rows,
     best_triple,
     lifts,
-    normalizer_to_standard,
     point_set,
     standard_rows,
 )
@@ -40,12 +39,10 @@ from .hermitian import (
     TOL_LIFT,
     TOL_NULL,
     TOL_PROPORTIONAL,
-    _CAYLEY,
     _box,
     _cross3,
     _herm,
     _null_margin,
-    _point_kinds,
     _proportional,
     _tame,
     box,
@@ -98,14 +95,6 @@ def ccircle_through(a: BoundaryPoint, b: BoundaryPoint) -> CCircle:
     if m is None:
         raise GeometryError("coincident points span no circle")
     return CCircle(point_type(m))
-
-
-def tangent_polar(p: BoundaryPoint) -> ProjectivePoint:
-    """Polar of the tangent complex line at a boundary point: p itself."""
-    pt = point_type(p.lift)
-    if pt.point_type is not PointType.NULL:
-        raise GeometryError("tangent line is defined at null points only")
-    return pt
 
 
 class CircleRelation(Enum):
@@ -575,74 +564,3 @@ def min_collinearity(lifts: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     v = _tame(lifts)
     unit = v / np.linalg.norm(v, axis=1)[:, None]
     return best_triple(len(unit), lambda j: _det_block(unit, j), sign=-1)
-
-
-def mobius_sample(sample: CurveSample) -> tuple[list[ProjectivePoint], float]:
-    """Polar images of all point pairs of a curve, with injectivity margin.
-
-    Pairs (x, y) and (y, x) give the same image; the margin is the minimal
-    projective (Fubini-Study) distance between images of distinct pairs.
-    Raises on a hyperconvexity violation (a ratio below 1e-10), naming a
-    witness triple.  The test divides each triple determinant by the
-    product of the pairwise separations of the unit lifts: the determinant
-    of three close points shrinks like the cube of their spacing, the
-    ratio does not.  The separation |u x w| is the sine of the angle
-    between the two complex lines, so it does not depend on the phase of
-    either lift.
-    """
-    v = _tame(sample.rows)
-    unit = v / np.linalg.norm(v, axis=1)[:, None]
-    sep = np.linalg.norm(_cross3(unit[:, None, :], unit[None, :, :]), axis=-1)
-
-    def block(j):
-        scale = sep[:j, j, None] * sep[None, j, j + 1 :] * sep[:j, j + 1 :]
-        det = _det_block(unit, j)
-        # coincident points: the determinant vanishes, so does the ratio
-        return np.divide(det, scale, out=np.zeros_like(det), where=scale > 0)
-
-    coll, witness = best_triple(len(unit), block, sign=-1)
-    if coll < 1e-10:
-        raise GeometryError(
-            f"sample is not hyperconvex: triple {witness} is collinear "
-            f"(det over separations {coll:.2e})"
-        )
-    i, j = np.triu_indices(v.shape[0], k=1)
-    polars = _box(v[i], v[j])  # one row per pair
-    kinds, margins = _point_kinds(polars, TOL_NULL)
-    images = [
-        ProjectivePoint(HVector(w), k, m)
-        for w, k, m in zip(polars, kinds.tolist(), margins.tolist())
-    ]
-    # nearest distinct image in the ball-model affine chart; images on the
-    # hyperplane at infinity have no chart point and never realize it
-    ball = polars @ _CAYLEY.T
-    finite = np.abs(ball[:, 2]) > 1e-200
-    with np.errstate(over="ignore", invalid="ignore"):
-        rep = (ball[finite, :2] / ball[finite, 2:]).view(float)
-    rep = rep[np.isfinite(rep).all(axis=1)]
-    margin = math.inf
-    if len(rep) > 1:
-        from scipy.spatial import cKDTree
-
-        margin = float(cKDTree(rep).query(rep, k=2)[0][:, 1].min())
-    return images, margin
-
-
-def flow_point(
-    x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint
-) -> BoundaryPoint:
-    """The point of arc(x -> y) whose foot on the real geodesic xy is z's.
-
-    Normalizing x to the origin and y to infinity, the orthogonal
-    projection of a point with first lift coordinate w has foot |w| on the
-    geodesic, and the arc point with the same foot is [0, |w|].
-    """
-    for p, q in ((x, y), (x, z), (y, z)):
-        if p.close_to(q, 1e-12):
-            raise GeometryError("flow point needs three distinct points")
-    g = normalizer_to_standard(x, y)
-    zeta = abs(z.apply(g).row[0])  # finite: z is not y
-    if zeta == 0:
-        raise GeometryError("projection foot is degenerate")
-    p_norm = BoundaryPoint(0.0, zeta)
-    return p_norm.apply(g.inverse())

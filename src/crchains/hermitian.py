@@ -25,7 +25,6 @@ import numpy as np
 # The tolerance table; the CLI writes every TOL_* name into its JSON metadata.
 TOL_NULL = 1e-9  # relative null margin of a lift, |<v, v>| / |v|^2
 TOL_LOX = 1e-7  # leading eigenvalue modulus above 1 for a loxodromic
-TOL_TRACE = 1e-8  # imaginary part of a normalized trace read as real
 TOL_EIGVEC = 1e-6  # null margin of a loxodromic fixed-point eigenvector
 TOL_LIFT = 1e-4  # null margin accepted when a computed lift is read as a point
 TOL_ARC = 1e-4  # support residual of a meeting point counted on an arc
@@ -309,16 +308,6 @@ def _classify_rows(m: np.ndarray):
     return _KINDS[code], vals[rows, i_max], attracting, repelling, r
 
 
-def _classify_one(g: GroupElement):
-    """`_classify_rows` of one element, raising inside the indeterminate band."""
-    kinds, lam, attracting, repelling, r = _classify_rows(g.matrix[None])
-    if kinds[0] is None:
-        raise IndeterminateClassError(
-            f"leading modulus {r[0]:.12f} inside the tolerance band"
-        )
-    return kinds[0], lam[0], attracting[0], repelling[0]
-
-
 def classify(g: GroupElement) -> Classification:
     """Classify a form-preserving element by its eigenvalue moduli.
 
@@ -327,10 +316,15 @@ def classify(g: GroupElement) -> Classification:
     leading eigenvalue, mapped to (-pi, pi].  The one-row case of
     `_classify_rows`.
     """
-    kind, lam, attracting, repelling = _classify_one(g)
+    kinds, lam, attracting, repelling, r = _classify_rows(g.matrix[None])
+    kind = kinds[0]
+    if kind is None:
+        raise IndeterminateClassError(
+            f"leading modulus {r[0]:.12f} inside the tolerance band"
+        )
     if kind is not ElementClass.LOXODROMIC:
         return Classification(kind)
-    theta = cmath.phase(lam * _central_normalize(lam))
+    theta = cmath.phase(lam[0] * _central_normalize(lam[0]))
     rot = 3.0 * theta
     if rot > math.pi:
         rot -= 2.0 * math.pi
@@ -338,19 +332,10 @@ def classify(g: GroupElement) -> Classification:
         ElementClass.LOXODROMIC,
         rot,
         (
-            point_type(HVector(attracting), TOL_EIGVEC),
-            point_type(HVector(repelling), TOL_EIGVEC),
+            point_type(HVector(attracting[0]), TOL_EIGVEC),
+            point_type(HVector(repelling[0]), TOL_EIGVEC),
         ),
     )
-
-
-def is_real_loxodromic(g: GroupElement) -> bool:
-    """True when the centrally normalized unit-determinant trace is real."""
-    kind, lam, _, _ = _classify_one(g)
-    if kind is not ElementClass.LOXODROMIC:
-        raise GeometryError("element is not loxodromic")
-    tr = np.trace(g.matrix) * _central_normalize(lam)
-    return bool(abs(tr.imag) < TOL_TRACE * max(1.0, abs(tr)))
 
 
 def random_form_preserving(rng: np.random.Generator) -> GroupElement:

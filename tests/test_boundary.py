@@ -1,4 +1,4 @@
-"""Boundary points, the angular invariant, projections."""
+"""Boundary points and the angular invariant."""
 
 import cmath
 import json
@@ -14,19 +14,12 @@ from crchains.boundary import (
     BoundaryPoint,
     cartan,
     cartan_lifts,
-    hyp_distance,
-    normalizer_to_standard,
-    paraboloid_margin,
-    project_star,
-    project_tangent,
-    project_to_line,
 )
 from crchains.circles import (
     CurveSample,
     RCircle,
     bent_curve,
     ccircle_through,
-    tangent_polar,
 )
 from crchains.groups import diagonal_loxodromic, heisenberg_translation, screw_parabolic
 from crchains.hermitian import (
@@ -35,7 +28,6 @@ from crchains.hermitian import (
     HVector,
     PointType,
     _CAYLEY,
-    _CAYLEY_INV,
     herm_inner,
     point_type,
     random_form_preserving,
@@ -144,92 +136,6 @@ class TestCartan:
                 assert h[i, j] == pytest.approx(
                     herm_inner(pts[i].lift, pts[j].lift)
                 )
-
-
-class TestNormalizer:
-    def test_sends_pair_to_standard(self):
-        for _ in range(20):
-            a, b = rand_point(), rand_point()
-            g = normalizer_to_standard(a, b)
-            assert g.form_residual() < 1e-9
-            ia = a.apply(g)
-            assert not ia.at_infinity and abs(ia.z) < 1e-9 and abs(ia.t) < 1e-9
-            assert b.apply(g).at_infinity
-
-    def test_close_pair(self):
-        # 2e-4 chordal apart; the frame's inverse is built from the form, not
-        # by elimination, so b still lands on infinity and a on the origin
-        a, b = BoundaryPoint(0, 0), BoundaryPoint(1e-4, 0)
-        g = normalizer_to_standard(a, b)
-        assert b.apply(g) == INFINITY and b.apply(g).at_infinity
-        assert a.apply(g) == BoundaryPoint(0, 0)
-
-
-class TestProjections:
-    def test_project_to_line_lands_on_line(self):
-        x = point_type(HVector(RNG.normal(size=3) + 1j * RNG.normal(size=3)))
-        m = point_type(HVector(np.array([0.0, 1.0, 0.0])))
-        y = project_to_line(x, m)
-        assert abs(herm_inner(y.representative, m.representative)) < 1e-10
-
-    def test_project_star_on_target_line(self):
-        e, a, b = rand_point(), rand_point(), rand_point()
-        img = project_star(e, a, b)
-        # image lies on the line through a and b: orthogonal to its polar
-        from crchains.hermitian import box
-
-        m = box(a.lift, b.lift)
-        assert abs(herm_inner(img.representative, m)) < 1e-8 * float(
-            np.linalg.norm(img.representative.entries) * np.linalg.norm(m.entries)
-        )
-
-    def test_project_star_outside_ball(self):
-        for _ in range(20):
-            img = project_star(rand_point(), rand_point(), rand_point())
-            assert img.point_type is PointType.POSITIVE
-
-    def test_project_tangent_fixes_basepoint(self):
-        e = rand_point()
-        assert project_tangent(e, e).proportional_to(point_type(e.lift))
-
-    def test_project_tangent_lands_on_tangent_line(self):
-        e, p = rand_point(), rand_point()
-        img = project_tangent(e, p)
-        assert abs(herm_inner(img.representative, e.lift)) < 1e-9 * float(
-            np.linalg.norm(img.representative.entries)
-        )
-
-
-class TestDistancesAndMargins:
-    def test_hyp_distance_symmetry(self):
-        # two interior points given by ball-model lifts, moved to Siegel lifts
-        a = point_type(HVector(_CAYLEY_INV @ np.array([0.1, 0.2 + 0.1j, 1.0])))
-        b = point_type(HVector(_CAYLEY_INV @ np.array([-0.3, 0.1j, 1.0])))
-        assert hyp_distance(a, b) == pytest.approx(hyp_distance(b, a))
-        assert hyp_distance(a, a) == pytest.approx(0.0, abs=1e-7)
-
-    def test_hyp_distance_requires_interior(self):
-        a = point_type(HVector(np.array([0.0, 1.0, 0.0])))
-        with pytest.raises(GeometryError):
-            hyp_distance(a, a)
-
-    def test_paraboloid_margin_signs(self):
-        alpha = math.pi / 4
-        inside = BoundaryPoint(1.0, 0.5)  # |t| < tan(alpha) |z|^2
-        outside = BoundaryPoint(1.0, 2.0)
-        assert paraboloid_margin(inside, alpha) > 0
-        assert paraboloid_margin(outside, alpha) < 0
-
-    def test_paraboloid_margin_matches_cartan(self):
-        # margin sign agrees with |A(inf, 0, p)| <= alpha
-        alpha = 0.6
-        for _ in range(50):
-            p = rand_point()
-            if p.z == 0:
-                continue
-            a = abs(cartan(INFINITY, BoundaryPoint(0, 0), p).angle)
-            margin = paraboloid_margin(p, alpha)
-            assert (a <= alpha) == (margin >= 0)
 
 
 def _reference_from_lift(e, tol=1e-6):
@@ -346,6 +252,20 @@ def test_cartan_matches_pairwise_reference():
     assert flags == {True, False}
 
 
+_INVERSION = GroupElement(np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))
+
+
+def _to_infinity(b):
+    """A form-preserving element sending b to infinity: the dilation by 1/s,
+    the Heisenberg translation of the dilated point to the origin, then the
+    inversion swapping 0 and infinity.  s = max(1, |row[0]|^(1/2)) brings b
+    to unit size first: translating a far point cancels terms of size
+    |row[0]|, and the rounding left over would break the null test."""
+    s = max(1.0, math.sqrt(abs(b.row[0])))
+    dilation = GroupElement(np.diag([1.0 / s, 1.0, s]))
+    return _INVERSION @ heisenberg_translation(-b.z / s, -b.t / s**2) @ dilation
+
+
 class TestStoredLift:
     """Each point stores its Siegel lift and every geometric rule reads it;
     [z, t] and infinity are a view with a 1e-9 rule that moves no point."""
@@ -367,11 +287,11 @@ class TestStoredLift:
         assert RCircle.standard().contains(BoundaryPoint(math.exp(20), 0.0))
 
     def test_rounded_infinities(self):
-        # b's image under the normalizer is infinity up to rounding: viewed
-        # as infinity, and its lift is within 1e-11 chordal of it
+        # b's image under an element sending b to infinity is infinity up to
+        # rounding: viewed as infinity, and its lift is within 1e-11 chordal of it
         for _ in range(200):
-            a, b = rand_point(), rand_point()
-            w = b.apply(normalizer_to_standard(a, b))
+            b = rand_point()
+            w = b.apply(_to_infinity(b))
             assert w.at_infinity and w.chordal(INFINITY) < 1e-11
 
     @pytest.mark.parametrize(
@@ -453,18 +373,13 @@ class TestRowIsThePoint:
     log_r=st.floats(-6.0, 8.0),
     arg=st.floats(-math.pi, math.pi),
     t_ratio=st.floats(-2.0, 2.0),
-    a=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
 )
-def test_json_round_trip_keeps_the_row(g, log_r, arg, t_ratio, a):
+def test_json_round_trip_keeps_the_row(g, log_r, arg, t_ratio):
     """from_json(p.to_json()) has p's row, bit for bit, for images of points
     under isometries and for rounded infinities."""
     r = 10.0**log_r
     q = BoundaryPoint(r * cmath.exp(1j * arg), t_ratio * r * r).apply(g)
-    base = BoundaryPoint(complex(a[0], a[1]), a[2])
-    images = [q]
-    if base.chordal(q) > 1e-2:  # nearer, the normalizer's image is not null to 1e-6
-        images.append(q.apply(normalizer_to_standard(base, q)))  # infinity, rounded
-    for p in images:
+    for p in (q, q.apply(_to_infinity(q))):  # the second is infinity, rounded
         back = BoundaryPoint.from_json(json.loads(json.dumps(p.to_json())))
         assert back.row == p.row
         assert np.array(back.row).tobytes() == np.array(p.row).tobytes()
@@ -474,8 +389,8 @@ class TestHugeRows:
     """Points with |z| up to the 1.3e154 where the lift overflows work in
     every rule: rows past 2^160 are scaled by a power of two first."""
 
-    def test_tangent_polar(self):
-        assert tangent_polar(BoundaryPoint(1e80, 0)).point_type is PointType.NULL
+    def test_point_type(self):
+        assert point_type(BoundaryPoint(1e80, 0).lift).point_type is PointType.NULL
 
     def test_cartan(self):
         val = cartan(BoundaryPoint(0, 0), BoundaryPoint(1, 1), BoundaryPoint(1e80, 0))

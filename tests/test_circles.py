@@ -23,13 +23,10 @@ from crchains.circles import (
     ccircle_through,
     ccircles_intersect,
     circle_relations,
-    flow_point,
     foliation_leaf_rcircle,
     min_collinearity,
-    mobius_sample,
     spiral_curve,
     spiral_point,
-    tangent_polar,
 )
 from crchains.groups import diagonal_loxodromic
 from crchains.hermitian import (
@@ -69,10 +66,6 @@ class TestCCircle:
         assert abs(cartan(a, p1, p2).angle) == pytest.approx(
             math.pi / 2, abs=1e-9
         )
-
-    def test_tangent_polar_is_the_point(self):
-        p = rand_point()
-        assert tangent_polar(p).representative.proportional_to(p.lift)
 
 
 class TestCirclesIntersect:
@@ -465,107 +458,13 @@ def test_malformed_json_is_a_geometry_error(read, payload):
         read(payload)
 
 
-class TestMobiusSample:
-    def test_margin_positive_for_slim_sample(self):
-        c = bent_curve(3 * math.pi / 4, n=16, r_range=(0.2, 5.0))
-        images, margin = mobius_sample(c)
-        assert margin > 0
-        assert len(images) == len(c.points) * (len(c.points) - 1) // 2
-
-    def test_chain_sample_rejected(self):
-        # three points of one chain violate hyperconvexity
-        arc = Arc(BoundaryPoint(0, -1), BoundaryPoint(0, 1))
-        pts = [arc.start, arc.point(1.0), arc.end]
-        with pytest.raises(GeometryError, match="hyperconvex"):
-            mobius_sample(CurveSample.of(pts, False, "chain"))
-
-    def test_min_collinearity_witness(self):
-        arc = Arc(BoundaryPoint(0, -1), BoundaryPoint(0, 1))
-        pts = [arc.start, arc.point(1.0), arc.end, BoundaryPoint(3.0, 0.0)]
-        lifts = np.array([p.lift.entries for p in pts])
-        val, witness = min_collinearity(lifts)
-        assert val < 1e-12
-        assert set(witness) == {0, 1, 2}
-
-
-def _blockwise_mobius_margin(polars, block=512):
-    """mobius_sample's margin as it was: all pairs of chart images, in blocks."""
-    from crchains.hermitian import _CAYLEY
-
-    ball = polars @ _CAYLEY.T
-    denom = np.where(np.abs(ball[:, 2]) > 1e-200, ball[:, 2], 1e-200)
-    rep = ball[:, :2] / denom[:, None]
-    m = rep.shape[0]
-    margin = math.inf
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = np.linalg.norm(rep[lo:hi, None, :] - rep[None, :, :], axis=2)
-        d = np.where(np.isnan(d), math.inf, d)
-        for r in range(hi - lo):
-            d[r, lo + r] = math.inf
-        margin = min(margin, float(np.min(d)))
-    return margin
-
-
-@pytest.mark.parametrize(
-    "curve",
-    [
-        lambda: bent_curve(3 * math.pi / 4, n=60),
-        lambda: bent_curve(math.pi / 2, n=41, r_range=(0.05, 20.0)),
-        lambda: spiral_curve(0.3, n=58),
-        lambda: RCircle.standard().sample(40),
-    ],
-)
-def test_mobius_margin_matches_blockwise_reference(curve):
-    """The k-d tree closest pair is the all-pairs minimum, to a few ulps."""
-    from crchains.boundary import lifts
-    from crchains.hermitian import HVector, _box, point_type
-
-    sample = curve()
-    v = lifts(sample.points)
-    i, j = np.triu_indices(len(v), k=1)
-    polars = _box(v[i], v[j])
-    images, margin = mobius_sample(sample)
-    for img, w in zip(images, polars, strict=True):
-        ref = point_type(HVector(w))
-        assert img.representative.entries.tobytes() == w.tobytes()
-        assert img.point_type is ref.point_type and img.type_margin == ref.type_margin
-    ref_margin = _blockwise_mobius_margin(polars)
-    assert 0 < margin < math.inf
-    assert abs(margin - ref_margin) <= 4 * math.ulp(ref_margin)
-
-
-@pytest.mark.parametrize(
-    "curve",
-    [
-        lambda: bent_curve(3 * math.pi / 4, n=140),
-        lambda: spiral_curve(0.3, n=100),
-        lambda: bent_curve(3 * math.pi / 4, n=140, r_range=(1e-6, 1e6)),
-        lambda: spiral_curve(0.3, s_range=(-12.0, 12.0), n=100),
-    ],
-)
-def test_dense_hyperconvex_samples_accepted(curve):
-    """Close sample points have a tiny triple determinant; scaled by their
-    separations it stays far from zero, so dense samples pass.  The wide
-    ranges put sample points near infinity, whose lifts differ in phase
-    from the standard lift of infinity."""
-    images, margin = mobius_sample(curve())
-    assert margin > 0
-
-
-def test_mobius_sample_memory_is_linear_in_pairs():
-    """200 points, 19900 images: no all-pairs distance blocks in memory."""
-    import tracemalloc
-
-    curve = bent_curve(3 * math.pi / 4, n=200)
-    tracemalloc.start()
-    try:
-        mobius_sample(curve)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 50e6
+def test_min_collinearity_witness():
+    arc = Arc(BoundaryPoint(0, -1), BoundaryPoint(0, 1))
+    pts = [arc.start, arc.point(1.0), arc.end, BoundaryPoint(3.0, 0.0)]
+    lifts = np.array([p.lift.entries for p in pts])
+    val, witness = min_collinearity(lifts)
+    assert val < 1e-12
+    assert set(witness) == {0, 1, 2}
 
 
 def _real_null_points_on_polar(m_real: np.ndarray) -> tuple[BoundaryPoint, BoundaryPoint]:
@@ -809,56 +708,3 @@ def test_coincident_consecutive_points_rejected():
     assert len(CurveSample.of(pts[:1], closed=False, source="test").points) == 1
     assert not CurveSample.of([], closed=False, source="test").points
 
-
-class TestFlowPoint:
-    def test_result_on_arc(self):
-        x, y, z = rand_point(), rand_point(), rand_point()
-        p = flow_point(x, y, z)
-        arc = Arc(x, y)
-        t, res = arc.param_of(p)
-        assert res < 1e-8 and t > 0
-
-    @staticmethod
-    def _foot_on_vertical_geodesic(lift_entries):
-        # oracle: the orthogonal-projection foot of a point near the
-        # boundary on the geodesic from the origin to infinity, found by
-        # brute-force distance minimization over the geodesic parameter
-        from crchains.boundary import hyp_distance
-        from crchains.hermitian import HVector, point_type
-
-        pt = point_type(HVector(lift_entries))
-        us = np.geomspace(1e-3, 1e3, 20001)
-        ds = []
-        for u in us:
-            axis_pt = point_type(HVector(np.array([-u, 0.0, 1.0])))
-            ds.append(hyp_distance(pt, axis_pt))
-        return float(us[int(np.argmin(ds))])
-
-    def test_matches_projection_oracle(self):
-        # x at the origin, y at infinity: the geodesic is the vertical
-        # axis and feet are compared as 1D parameters along it
-        x, y, z = (
-            BoundaryPoint(0, 0),
-            INFINITY,
-            BoundaryPoint(1 + 0.5j, 0.7),
-        )
-        p = flow_point(x, y, z)
-        eps = 1e-6
-        # interior approximations of the two boundary points
-        z_int = z.lift.entries + np.array([-eps, 0, 0])
-        p_int = p.lift.entries + np.array([-eps, 0, 0])
-        foot_z = self._foot_on_vertical_geodesic(z_int)
-        foot_p = self._foot_on_vertical_geodesic(p_int)
-        assert foot_p == pytest.approx(foot_z, rel=1e-2)
-
-    def test_equivariance(self):
-        g = random_form_preserving(RNG)
-        x, y, z = rand_point(), rand_point(), rand_point()
-        p1 = flow_point(x, y, z).apply(g)
-        p2 = flow_point(x.apply(g), y.apply(g), z.apply(g))
-        assert p1.close_to(p2, 1e-6)
-
-    def test_degenerate_input_rejected(self):
-        x = rand_point()
-        with pytest.raises(GeometryError):
-            flow_point(x, x, rand_point())

@@ -78,7 +78,7 @@ class TestSweepCommand:
         assert meta["version"] == __version__
         assert "seed" not in meta
         assert set(meta["tolerances"]) == {
-            "null", "lox", "trace", "eigvec", "lift", "arc", "endpoint",
+            "null", "lox", "eigvec", "lift", "arc", "endpoint",
             "proportional", "dedup", "limit",
         }
         assert len(meta["config_hash"]) == 64
@@ -209,16 +209,18 @@ class TestCrownCommand:
 
     def test_parabolic_end_is_a_precondition_failure(self, tmp_path, capsys):
         # at tau = 3 the core word is unipotent; rounding reads it as a
-        # loxodromic with a degenerate axis, whose arc has no support
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"target_tau": 3.0, "word_length": 6}))
-        out = tmp_path / "o"
-        code = main(["crown", "--config", str(cfg), "--out", str(out)])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("precondition failure:") and "Traceback" not in err
-        assert not (out / "crown_report.json").exists()
-        assert not (out / "crown.json").exists()
+        # loxodromic with a degenerate axis, whose arc has no support; at
+        # 3 + 1e-9 rounding swamps the distance from the end in the same way
+        for k, target in enumerate((3.0, 3.0 + 1e-9)):
+            cfg = tmp_path / f"cfg{k}.json"
+            cfg.write_text(json.dumps({"target_tau": target, "word_length": 6}))
+            out = tmp_path / f"o{k}"
+            code = main(["crown", "--config", str(cfg), "--out", str(out)])
+            assert code == 3
+            err = capsys.readouterr().err
+            assert err.startswith("precondition failure:") and "Traceback" not in err
+            assert not (out / "crown_report.json").exists()
+            assert not (out / "crown.json").exists()
 
     def test_just_past_the_parabolic_end(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

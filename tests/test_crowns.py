@@ -37,6 +37,7 @@ from crchains.groups import (
     heisenberg_translation,
     limit_set,
     triangle_group,
+    triangle_group_at_tau,
 )
 from crchains.hermitian import (
     ElementClass,
@@ -152,6 +153,23 @@ class TestBuildCrown:
                 for dp in deep_pairs
             )
             assert best < 1e-6
+
+
+@pytest.mark.parametrize("tau", [2 + 2 * math.sqrt(2), 4.5, 3.5, 3.2])
+def test_r3_maps_the_core_to_its_complement(tau):
+    """R3 swaps the ends of the core arc of 3212 and carries the arc onto
+    the other half of its C-circle, which the crown does not store."""
+    rep = triangle_group_at_tau(3, 3, 4, tau)
+    label, core = build_crown(rep, "3212", 6).arcs[0]
+    assert label == ""
+    r3 = rep.generators[2]
+    assert core.start.apply(r3).chordal(core.end) < 1e-12
+    assert core.end.apply(r3).chordal(core.start) < 1e-12
+    p = core.point(1.0).apply(r3)
+    t, res = core.opposite().param_of(p)
+    assert t > 0 and res < 1e-12
+    t, res = core.param_of(p)
+    assert t < 0 and res < 1e-12
 
 
 class TestEmbeddedness:

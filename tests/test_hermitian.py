@@ -17,7 +17,6 @@ from crchains.hermitian import (
     _CAYLEY,
     _CAYLEY_INV,
     _H_SIEGEL,
-    _central_normalize,
     _box,
     _herm,
     _null_margin,
@@ -26,7 +25,6 @@ from crchains.hermitian import (
     classify,
     det3,
     herm_inner,
-    is_real_loxodromic,
     point_type,
     random_form_preserving,
 )
@@ -163,7 +161,6 @@ class TestClassification:
         cls = classify(g)
         assert cls.kind is ElementClass.LOXODROMIC
         assert cls.rotation_factor == pytest.approx(0.0, abs=1e-12)
-        assert is_real_loxodromic(g)
 
     def test_rotating_loxodromic(self):
         a = 1.0 + 0.3j
@@ -175,7 +172,6 @@ class TestClassification:
         assert cls.kind is ElementClass.LOXODROMIC
         # leading eigenvalue e^(1+0.3i): rotation factor three times its argument
         assert cls.rotation_factor == pytest.approx(0.9)
-        assert not is_real_loxodromic(g)
 
     def test_loxodromic_fixed_points(self):
         g = GroupElement(np.diag([2.0, 1.0, 0.5]))
@@ -349,53 +345,6 @@ def test_stacked_classifier_matches_per_element_reference():
             assert repelling[k].tobytes() == fixed[1].tobytes()
         else:
             assert cls.fixed_points is None
-
-
-def _reference_is_real_loxodromic(g):
-    """is_real_loxodromic as it was: classify, then a second eigvals call."""
-    if classify(g).kind is not ElementClass.LOXODROMIC:
-        raise GeometryError("element is not loxodromic")
-    vals = np.linalg.eigvals(g.matrix)
-    lam = vals[int(np.argmax(np.abs(vals)))]
-    tr = np.trace(g.matrix) * _central_normalize(lam)
-    return bool(abs(tr.imag) < 1e-8 * max(1.0, abs(tr)))
-
-
-def test_real_loxodromic_matches_reference_with_one_eig(monkeypatch):
-    """Same verdicts as the two-eigendecomposition body, from one eig call."""
-    from crchains.groups import diagonal_loxodromic, heisenberg_translation
-
-    rng = np.random.default_rng(11)
-    elements = [heisenberg_translation(0.4 - 1.1j, 0.3), diagonal_loxodromic(1.0, 5e-8)]
-    for _ in range(60):
-        # a conjugate of a real, then of a rotating, diagonal loxodromic
-        h = random_form_preserving(rng)
-        for alpha in (1.0, complex(1.0, rng.uniform(0.1, 2.0))):
-            g = diagonal_loxodromic(alpha, rng.uniform(0.2, 2.0))
-            elements.append(h @ g @ h.inverse())
-    elements += [random_form_preserving(rng) for _ in range(60)]
-
-    def verdict(f, g):
-        try:
-            return f(g)
-        except GeometryError as exc:
-            return type(exc)
-
-    calls = []
-    for name in ("eig", "eigvals"):
-        real = getattr(np.linalg, name)
-        monkeypatch.setattr(
-            np.linalg, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
-        )
-    verdicts = []
-    for g in elements:
-        ref = verdict(_reference_is_real_loxodromic, GroupElement(g.matrix))
-        calls.clear()
-        got = verdict(is_real_loxodromic, GroupElement(g.matrix))
-        assert calls == ["eig"]
-        assert got == ref
-        verdicts.append(got)
-    assert {True, False, GeometryError, IndeterminateClassError} <= set(verdicts)
 
 
 def _reference_proportional(a, b, tol=1e-9):

@@ -11,17 +11,10 @@ from crchains.circles import (
     CurveSample,
     RCircle,
     bent_curve,
-    mobius_sample,
     spiral_curve,
 )
 from crchains.groups import TriangleParams, triangle_group, limit_set
-from crchains.hermitian import (
-    GeometryError,
-    HVector,
-    _CAYLEY,
-    _H_SIEGEL_INV,
-    point_type,
-)
+from crchains.hermitian import GeometryError
 from crchains.slimness import (
     MAX_SCAN_POINTS,
     hyperconvexity,
@@ -234,24 +227,6 @@ def _pairwise_collinearity(lifts):
     return best, witness
 
 
-def _pairwise_mobius(lifts):
-    images, coords = [], []
-    n = lifts.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = np.conj(_H_SIEGEL_INV @ np.cross(lifts[i], lifts[j]))
-            images.append(point_type(HVector(w)))
-            b = _CAYLEY @ w
-            denom = b[2] if abs(b[2]) > 1e-200 else 1e-200
-            coords.append(b[:2] / denom)
-    rep = np.array(coords)
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = np.linalg.norm(rep[:, None, :] - rep[None, :, :], axis=2)
-    d = np.where(np.isnan(d), math.inf, d)
-    np.fill_diagonal(d, math.inf)
-    return images, float(np.min(d))
-
-
 SCAN_SAMPLES = {
     "bent_pi/2": lambda: bent_curve(math.pi / 2, n=120),
     "bent_3pi/4": lambda: bent_curve(3 * math.pi / 4, n=120),
@@ -282,15 +257,6 @@ def test_triple_scan_matches_reference(name):
     # the determinant sums products of unit-size entries, so its rounding
     # is measured in ulps of 1, not of the (small) minimum
     assert abs(hc.min_collinearity - margin) <= 4 * np.finfo(float).eps
-
-    small = CurveSample.of(pts[:: max(1, len(pts) // 30)], False, "subsample")
-    ref_images, ref_margin = _pairwise_mobius(lifts(small.points))
-    images, mob_margin = mobius_sample(small)
-    assert len(images) == len(ref_images)
-    for a, b in zip(images, ref_images):
-        assert np.array_equal(a.representative.entries, b.representative.entries)
-        assert a.point_type is b.point_type and a.type_margin == b.type_margin
-    assert mob_margin == pytest.approx(ref_margin, rel=1e-12)
 
 
 def _rows(x, y):
