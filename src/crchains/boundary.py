@@ -257,18 +257,18 @@ def cartan_lifts(lifts: np.ndarray) -> np.ndarray:
     return lifts @ _H_SIEGEL @ np.conj(lifts.T)  # H[i, j] = v_j^dagger J v_i
 
 
-def best_triple(n: int, block, sign: int = 1) -> tuple[float, tuple[int, int, int]]:
+def best_triple(middles, block, sign: int = 1) -> tuple[float, tuple[int, int, int]]:
     """Extremum of a function of index triples i < j < k, with its witness.
 
     block(j) returns the (j, n - j - 1) array of the values at (i, j, k)
-    for i < j < k; sign 1 takes the maximum, -1 the minimum.  Ties go to
-    the lexicographically first triple.
+    for i < j < k; the scan reads the blocks of the middle indices j in
+    `middles`, ascending.  sign 1 takes the maximum, -1 the minimum.  Ties
+    go to the lexicographically first triple.
     """
     best, witness = -math.inf, (0, 1, 2)
-    for j in range(1, n - 1):
+    for j in middles:
         vals = sign * block(j)
         i, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
         if vals[i, k] > best or (vals[i, k] == best and i < witness[0]):
             best, witness = float(vals[i, k]), (int(i), j, j + 1 + int(k))
     return sign * best, witness
-

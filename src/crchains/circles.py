@@ -169,21 +169,12 @@ class Arc:
 
     def point(self, t: float) -> BoundaryPoint:
         """Point of the arc at chart parameter t in (0, inf)."""
-        return self._points([t]).points[0]
+        return _chart_points((self,), [t]).points[0]
 
     def sample(self, n: int, t_range: tuple[float, float] = (1e-3, 1e3)) -> PointSet:
-        """The polyline of n chart points, t geometrically spaced over t_range."""
-        return self._points([float(t) for t in np.geomspace(t_range[0], t_range[1], n)])
-
-    def _points(self, ts: list[float]) -> PointSet:
-        """Chart points [a + (i t / <b, a>) b], with <b, a> computed once."""
-        if not all(t > 0 for t in ts):
-            raise GeometryError("arc parameter must be positive")
-        a, b = self.start.lift, self.end.lift
-        h = herm_inner(b, a)
-        # 1j * t / h stays a Python scalar per t: numpy rounds it differently
-        mu = np.array([1j * t / h for t in ts], dtype=complex)
-        return point_set(a.entries + mu[:, None] * b.entries)
+        """The polyline of n chart points, t geometrically spaced over t_range:
+        the one-arc case of `sample_arcs`."""
+        return sample_arcs((self,), n, t_range)
 
     def param_of(self, p: BoundaryPoint) -> tuple[float, float]:
         """Chart parameter of p (infinite at the far endpoint) + residual.
@@ -212,6 +203,26 @@ class Arc:
             return False
         t, res = self.param_of(p)
         return res < tol and t > 0
+
+
+def sample_arcs(arcs, n: int, t_range: tuple[float, float]) -> PointSet:
+    """The polylines `Arc.sample(n, t_range)` of the arcs, stacked: n rows per arc."""
+    return _chart_points(arcs, [float(t) for t in np.geomspace(t_range[0], t_range[1], n)])
+
+
+def _chart_points(arcs, ts: list[float]) -> PointSet:
+    """Chart points [a + (i t / <b, a>) b] of each arc at each t, arc after
+    arc, with <b, a> computed once per arc and one `point_set` for them all."""
+    if not all(t > 0 for t in ts):
+        raise GeometryError("arc parameter must be positive")
+    rows = []
+    for arc in arcs:
+        a, b = arc.start.lift, arc.end.lift
+        h = herm_inner(b, a)
+        # 1j * t / h stays a Python scalar per t: numpy rounds it differently
+        mu = np.array([1j * t / h for t in ts], dtype=complex)
+        rows.append(a.entries + mu[:, None] * b.entries)
+    return point_set(np.array(rows, dtype=complex).reshape(-1, 3))
 
 
 class ArcRelation(Enum):
@@ -563,4 +574,4 @@ def min_collinearity(lifts: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     """
     v = _tame(lifts)
     unit = v / np.linalg.norm(v, axis=1)[:, None]
-    return best_triple(len(unit), lambda j: _det_block(unit, j), sign=-1)
+    return best_triple(range(1, len(unit) - 1), lambda j: _det_block(unit, j), sign=-1)

@@ -303,8 +303,14 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
+    global _parser
+    if _parser is None:  # built once per process; each cmd_* reads its names when called
+        _parser = make_parser()
+    args = _parser.parse_args(argv)
     return args.func(args)
 
 

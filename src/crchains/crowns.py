@@ -25,6 +25,7 @@ from .circles import (
     _real_up_to_scale,
     arcs_intersect,
     circle_relations,
+    sample_arcs,
     spiral_rows,
 )
 from .groups import (
@@ -276,13 +277,14 @@ def export_uniformization(
             f"crown is not embedded: arcs {report.witness} cross"
             + (f" at {report.witness_point}" if report.witness_point else "")
         )
+    polylines = sample_arcs([arc for _, arc in crown.arcs], 64, (1e-2, 1e2)).json_points()
     arcs_payload = [
         {
             "coset": label,
             "endpoints": [arc.start.to_json(), arc.end.to_json()],
-            "polyline": arc.sample(64, t_range=(1e-2, 1e2)).json_points(),
+            "polyline": polylines[64 * m : 64 * (m + 1)],
         }
-        for label, arc in crown.arcs
+        for m, (label, arc) in enumerate(crown.arcs)
     ]
     bundle = {
         "generators": [

@@ -1,8 +1,10 @@
 """Cartan-supremum estimation, hyperconvexity margins, deformation sweep.
 
 The supremum of the angular invariant over a sample is computed by an
-exhaustive vectorized scan of all distinct triples, optionally followed
-by a local golden-section refinement along the sampled curve.
+exhaustive vectorized scan of all distinct triples, screened by a bound
+from the Gram phases so that exact values are computed only where the
+maximum can lie, optionally followed by a local golden-section
+refinement along the sampled curve.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +29,8 @@ from .groups import (
 from .hermitian import TOL_LIMIT, GeometryError, _tame
 
 MAX_SCAN_POINTS = 400
+# the phase-sum bound and the computed |A| differ by a few ulps of pi
+SCREEN_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,8 @@ class SlimnessReport:
     n_points: int
     n_triples_evaluated: int
     refined: bool
+    # triples whose exact |A| the scan computed: the blocks the screen kept
+    n_triples_exact: int = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -52,6 +58,45 @@ def _abs_cartan_block(h: np.ndarray, j: int) -> np.ndarray:
     """|A(v_i, v_j, v_k)| for i < j < k, from the Gram matrix h."""
     prod = -h[:j, j, None] * h[None, j, j + 1 :] * h[j + 1 :, :j].T
     return np.abs(np.angle(prod))
+
+
+def _screen(h: np.ndarray) -> range | list[int]:
+    """The middle indices j whose blocks can hold the maximum of |A|.
+
+    With P = angle(h), |A(v_i, v_j, v_k)| = pi - wrap(P[i,j] + P[j,k] + P[k,i]),
+    wrap(s) = min(|s|, ||s| - 2 pi|): one atan2 per pair, three real adds per
+    triple.  A block whose bound is below the largest by 2 SCREEN_SLACK holds
+    no triple that reaches or ties the maximum.  Every block is kept when an
+    off-diagonal |h| is zero, not finite or outside [1e-100, 1e100], where
+    the triple product could underflow or overflow.
+    """
+    n = len(h)
+    p = np.abs(h)
+    np.fill_diagonal(p, 1.0)
+    if not (p.min() >= 1e-100 and p.max() <= 1e100):  # NaN fails both
+        return range(1, n - 1)
+    np.arctan2(h.imag, h.real, out=p)  # np.angle(h), in place
+    # the rows i < j <= m of P.T, contiguous: the blocks with j > m read P
+    pt = np.ascontiguousarray(p[:, : (n - 1) // 2].T)
+    scratch = np.empty((n // 2) * (n - 1 - n // 2))
+    bound = np.empty(n - 2)
+    for j in range(1, n - 1):
+        m = n - 1 - j
+        # the block (i, k) or its transpose (k, i): the longer side innermost
+        if j <= m:
+            s = scratch[: j * m].reshape(j, m)
+            np.add(pt[:j, j + 1 :], p[j, j + 1 :], out=s)
+            s += p[:j, j, None]
+        else:
+            s = scratch[: j * m].reshape(m, j)
+            np.add(p[j + 1 :, :j], p[:j, j], out=s)
+            s += p[j, j + 1 :, None]
+        np.abs(s, out=s)
+        near = s.min()
+        s -= 2.0 * math.pi
+        np.abs(s, out=s)
+        bound[j - 1] = math.pi - min(near, s.min())
+    return (np.flatnonzero(bound >= bound.max() - 2.0 * SCREEN_SLACK) + 1).tolist()
 
 
 def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
@@ -109,7 +154,8 @@ def sup_cartan(sample, refine: bool = False) -> SlimnessReport:
     """Exhaustive estimate of the Cartan supremum over a point sample.
 
     Samples larger than MAX_SCAN_POINTS are thinned uniformly before the
-    cubic scan.  Refinement moves each witness point along its adjacent
+    cubic scan, which computes exact values only in the blocks that `_screen`
+    keeps.  Refinement moves each witness point along its adjacent
     curve segments and never decreases the estimate.
     """
     pts, n = sample, len(sample.rows)
@@ -118,14 +164,16 @@ def sup_cartan(sample, refine: bool = False) -> SlimnessReport:
     if n > MAX_SCAN_POINTS:
         pts, n = sample[np.linspace(0, n - 1, MAX_SCAN_POINTS).astype(int)], MAX_SCAN_POINTS
     h = cartan_lifts(_tame(pts.rows))
-    best, witness = best_triple(n, lambda j: _abs_cartan_block(h, j))
+    middles = _screen(h)
+    best, witness = best_triple(middles, lambda j: _abs_cartan_block(h, j))
     n_triples = n * (n - 1) * (n - 2) // 6
+    n_exact = sum(j * (n - 1 - j) for j in middles)
     triple = tuple(pts[list(witness)].points)
     if refine:
         best_r, triple_r = _refine_triple(pts, witness, best)
         if best_r >= best:
             best, triple = best_r, triple_r
-    return SlimnessReport(best, triple, n, n_triples, refine)
+    return SlimnessReport(best, triple, n, n_triples, refine, n_exact)
 
 
 def hyperconvexity(sample) -> HyperconvexityReport:

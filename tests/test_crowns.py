@@ -296,6 +296,15 @@ class TestExport:
         with pytest.raises(GeometryError, match="not embedded"):
             export_uniformization(fuchsian_crown, fake)
 
+    def test_stacked_polylines_are_arc_samples(self):
+        """The polylines, built in one stacked array, are each arc's own sample."""
+        crown = build_crown(triangle_group(TriangleParams(3, 3, 4, 3.25)), "3212", 8)
+        data = json.loads(export_uniformization(crown, embeddedness(crown)))
+        assert len(data["arcs"]) == len(crown.arcs)
+        for (label, arc), entry in zip(crown.arcs, data["arcs"]):
+            assert entry["coset"] == label
+            assert entry["polyline"] == arc.sample(64, (1e-2, 1e2)).json_points()
+
     def test_deformed_crown_exports(self, fuchsian_rep):
         # a small phase deformation keeps the crown embedded and exportable
         rep2 = triangle_group(TriangleParams(3, 3, 4, math.pi + 0.02))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from crchains.boundary import BoundaryPoint, INFINITY, cartan_lifts, lifts
+from crchains.boundary import BoundaryPoint, INFINITY, PointSet, cartan_lifts, lifts, standard_rows
 from crchains.circles import (
     Arc,
     CurveSample,
@@ -14,9 +14,11 @@ from crchains.circles import (
     spiral_curve,
 )
 from crchains.groups import TriangleParams, triangle_group, limit_set
-from crchains.hermitian import GeometryError
+from crchains.hermitian import GeometryError, _tame
 from crchains.slimness import (
     MAX_SCAN_POINTS,
+    _abs_cartan_block,
+    _screen,
     hyperconvexity,
     parabolic_obstruction_demo,
     sup_cartan,
@@ -227,15 +229,54 @@ def _pairwise_collinearity(lifts):
     return best, witness
 
 
+# Gram phase of the (3,3,4) family where Re tau = 3.2, the far end of the sweep
+END_PHASE = 4.274239949800518
+
+
+def _limit_set(phase, length):
+    """The (3,3,4) limit set, thinned as `sup_cartan` thins it."""
+    ls = limit_set(triangle_group(TriangleParams(3, 3, 4, phase)), length)
+    n = len(ls.rows)
+    return ls[np.linspace(0, n - 1, MAX_SCAN_POINTS).astype(int)] if n > MAX_SCAN_POINTS else ls
+
+
+def _repeated(sample, index):
+    """The sample with its point at index repeated: a zero Gram entry."""
+    n = len(sample.rows)
+    return sample[np.r_[: index + 1, index : n]]
+
+
+def _dilated(sample, d):
+    """The sample under the Heisenberg dilation [z, t] -> [d z, d^2 t]."""
+    rows, finite = sample.rows.copy(), ~sample.at_infinity
+    r = rows[finite]
+    rows[finite] = standard_rows(d * r[:, 1], d * d * r[:, 0].imag)
+    return PointSet(rows, sample.at_infinity)
+
+
 SCAN_SAMPLES = {
     "bent_pi/2": lambda: bent_curve(math.pi / 2, n=120),
     "bent_3pi/4": lambda: bent_curve(3 * math.pi / 4, n=120),
     "bent_pi": lambda: bent_curve(math.pi, n=120),
     "bent_3pi/2": lambda: bent_curve(3 * math.pi / 2, n=120),
     "spiral": lambda: spiral_curve(0.3, n=150),
+    "spiral_0.1": lambda: spiral_curve(0.1, n=150),
+    "spiral_0.2": lambda: spiral_curve(0.2, n=150),
+    "spiral_0.5": lambda: spiral_curve(0.5, n=150),
     "rcircle": lambda: RCircle.standard().sample(100),
     "limit_set_334": lambda: limit_set(triangle_group(TriangleParams(3, 3, 4, 4.0)), 8),
+    # the phases of the benchmark's sweep at L = 10: both ends and one inside
+    # each of [0.2, 0.45] and [0.55, 0.8] of the range
+    "sweep_L10_pi": lambda: _limit_set(math.pi, 10),
+    "sweep_L10_0.3": lambda: _limit_set(math.pi + 0.3 * (END_PHASE - math.pi), 10),
+    "sweep_L10_0.7": lambda: _limit_set(math.pi + 0.7 * (END_PHASE - math.pi), 10),
+    "sweep_L10_end": lambda: _limit_set(END_PHASE, 10),
+    "limit_set_334_L12": lambda: _limit_set(4.0, 12),
+    # the screen keeps every block: a zero Gram entry, and entries near 1e-120
+    "repeated_point": lambda: _repeated(spiral_curve(0.3, n=150), 0),
+    "dilated_1e-60": lambda: _dilated(spiral_curve(0.3, n=150), 1e-60),
 }
+FALLBACK_SAMPLES = ("repeated_point", "dilated_1e-60")
 
 
 @pytest.mark.parametrize("name", list(SCAN_SAMPLES))
@@ -257,6 +298,26 @@ def test_triple_scan_matches_reference(name):
     # the determinant sums products of unit-size entries, so its rounding
     # is measured in ulps of 1, not of the (small) minimum
     assert abs(hc.min_collinearity - margin) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("name", list(SCAN_SAMPLES))
+def test_screen_skips_only_blocks_below_the_supremum(name):
+    """Every block the phase-sum screen skips holds no triple at the maximum."""
+    sample = SCAN_SAMPLES[name]()
+    n = len(sample.rows)
+    report = sup_cartan(sample)
+    h = cartan_lifts(_tame(sample.rows))
+    kept = set(_screen(h))
+    skipped = set(range(1, n - 1)) - kept
+    for j in skipped:
+        assert _abs_cartan_block(h, j).max() < report.sup_estimate
+    assert report.n_triples_exact == sum(j * (n - 1 - j) for j in kept)
+    if name in FALLBACK_SAMPLES:
+        assert not skipped
+        assert report.n_triples_exact == report.n_triples_evaluated
+    elif name.startswith("sweep_L10"):
+        # the screen pays off where the maximum is not tied along the curve
+        assert report.n_triples_exact < 0.25 * report.n_triples_evaluated
 
 
 def _rows(x, y):
