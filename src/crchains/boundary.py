@@ -12,6 +12,8 @@ A point set (`PointSet`: curve samples, limit sets, arc polylines) is the
 (N, 3) array of those rows with the (N,) at_infinity mask.  The array rules
 read the rows; `points` builds BoundaryPoint views only where a caller asks
 for points, and a BoundaryPoint's own array rules are the one-row cases.
+`cartan`, `chordal` and `apply` take one point or triple at a time, so they
+write the same rules out on the stored rows in Python arithmetic.
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ from .hermitian import (
     HVector,
     _CAYLEY,
     _H_SIEGEL,
-    _HUGE,
+    _ball_row,
     _null_margin,
-    _tame,
+    _pair,
+    _pair_size,
+    _tame_row,
 )
 
 
@@ -42,16 +46,7 @@ class BoundaryPoint:
     at_infinity: bool = field(default=False, compare=False)
 
     def __init__(self, z: complex = 0.0, t: float = 0.0):
-        try:
-            # complex(re, t), not re + 1j * t, keeps a zero t's sign; 0.0 * t keeps
-            # re's bits and makes the lift of a non-finite t non-finite
-            row = (complex(-abs(z) ** 2 + 0.0 * t, t), z, 1.0)
-            finite = cmath.isfinite(row[0])
-        except OverflowError:  # |z| above about 1.3e154
-            finite = False
-        if not finite:
-            raise GeometryError(f"[{z}, {t}] has no finite lift")
-        _set_row(self, row)
+        _set_row(self, _standard_row(z, t))
         _set_at_infinity(self, False)
 
     z = property(lambda self: self.row[1], doc="Heisenberg z, read off the row.")
@@ -59,9 +54,7 @@ class BoundaryPoint:
 
     @property
     def lift(self) -> HVector:
-        v = np.array(self.row)
-        # a row's largest entry past 1 is row[0]: one abs finds a row to tame
-        return HVector(_tame(v) if abs(self.row[0]) > _HUGE else v)
+        return HVector(np.array(_tame_row(self.row)))
 
     @staticmethod
     def infinity() -> "BoundaryPoint":
@@ -76,17 +69,39 @@ class BoundaryPoint:
         return point_set(v.entries[None], tol).points[0]
 
     def apply(self, g: GroupElement) -> "BoundaryPoint":
-        """The image under an isometry: the one-row case of `point_set`."""
-        return point_set((g.matrix @ self.lift.entries)[None]).points[0]
+        """The image under an isometry: g times the tamed row, read by the
+        rules of `point_set` (the null check, the at-infinity flag and the
+        finite check of `standard_rows`) in Python arithmetic."""
+        r0, r1, r2 = _tame_row(self.row)
+        e0, e1, e2 = e = [m0 * r0 + m1 * r1 + m2 * r2 for m0, m1, m2 in g.matrix.tolist()]
+        norm2 = (
+            e0.real * e0.real + e0.imag * e0.imag + e1.real * e1.real
+            + e1.imag * e1.imag + e2.real * e2.real + e2.imag * e2.imag
+        )
+        residual = abs(_pair(e, e).real / norm2)
+        if residual > 1e-6:
+            raise GeometryError(f"lift is not null (relative residual {residual:.2e})")
+        at_inf = abs(e2) <= 1e-9 * math.sqrt(norm2)
+        # e2 = 0 reads as a NaN point, which `standard_rows` maps to infinity
+        z, t = (complex(e1 / e2), (e0 / e2).imag) if e2 else (math.nan, math.nan)
+        try:
+            row = _standard_row(z, t)
+        except GeometryError:
+            if not at_inf:
+                raise
+            return INFINITY
+        return _view(*row, at_inf)
 
     def ball_coords(self) -> np.ndarray:
         """Affine ball-model coordinates (z1, z2) on the unit sphere of C^2."""
         return ball_rows(lifts((self,)))[0]
 
     def chordal(self, other: "BoundaryPoint") -> float:
-        """Euclidean distance between ball-model coordinates; bounded by 2."""
-        b = ball_rows(lifts((self, other)))
-        return float(np.linalg.norm(b[0] - b[1]))
+        """Euclidean distance between ball-model coordinates; bounded by 2.
+        The rule of `ball_rows` on the two rows, in Python arithmetic."""
+        (a0, a1), (b0, b1) = _ball_row(self.row), _ball_row(other.row)
+        d0, d1 = a0 - b0, a1 - b1
+        return math.hypot(d0.real, d0.imag, d1.real, d1.imag)
 
     def close_to(self, other: "BoundaryPoint", eps: float = 1e-8) -> bool:
         return self.chordal(other) < eps
@@ -110,6 +125,21 @@ class BoundaryPoint:
             return BoundaryPoint(complex(re, im), t)
         except (KeyError, TypeError, ValueError) as exc:
             raise GeometryError(f"malformed point {item!r}") from exc
+
+
+def _standard_row(z: complex, t: float) -> tuple:
+    """The row (-|z|^2 + it, z, 1) of [z, t]; GeometryError unless finite.
+    The scalar rule of `standard_rows`."""
+    try:
+        # complex(re, t), not re + 1j * t, keeps a zero t's sign; 0.0 * t keeps
+        # re's bits and makes the lift of a non-finite t non-finite
+        row = (complex(-abs(z) ** 2 + 0.0 * t, t), z, 1.0)
+        finite = cmath.isfinite(row[0])
+    except OverflowError:  # |z| above about 1.3e154
+        finite = False
+    if not finite:
+        raise GeometryError(f"[{z}, {t}] has no finite lift")
+    return row
 
 
 # the slots' setters: past the frozen __setattr__, faster than object.__setattr__
@@ -238,15 +268,19 @@ def cartan(p: BoundaryPoint, q: BoundaryPoint, r: BoundaryPoint) -> CartanValue:
     """Angular invariant arg(-<p,q><q,r><r,p>) of a boundary triple.
 
     Zero with the degenerate flag when two of the points coincide: some
-    |<v_i, v_j>| is at most 1e-12 times the size of its three terms, the
-    Gram rule on |v|, a test that Heisenberg dilations leave unchanged.
-    The one-triple case of the Gram rule `cartan_lifts`.
+    |<v_i, v_j>| is at most 1e-12 times the size of its three terms, a
+    test that Heisenberg dilations leave unchanged.  The Gram rule of
+    `cartan_lifts` on the three tamed rows, in Python arithmetic.
     """
-    v = _tame(lifts((p, q, r)))
-    h, size = cartan_lifts(v), cartan_lifts(np.abs(v))
-    if any(abs(h[i, j]) <= 1e-12 * size[i, j] for i, j in ((0, 1), (1, 2), (2, 0))):
+    a, b, c = _tame_row(p.row), _tame_row(q.row), _tame_row(r.row)
+    ab, bc, ca = _pair(a, b), _pair(b, c), _pair(c, a)
+    if (
+        abs(ab) <= 1e-12 * _pair_size(a, b)
+        or abs(bc) <= 1e-12 * _pair_size(b, c)
+        or abs(ca) <= 1e-12 * _pair_size(c, a)
+    ):
         return CartanValue(0.0, degenerate=True)
-    return CartanValue(cmath.phase(complex(-h[0, 1] * h[1, 2] * h[2, 0])))
+    return CartanValue(cmath.phase(-ab * bc * ca))
 
 
 def cartan_lifts(lifts: np.ndarray) -> np.ndarray:

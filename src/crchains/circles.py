@@ -38,7 +38,6 @@ from .hermitian import (
     TOL_ENDPOINT,
     TOL_LIFT,
     TOL_NULL,
-    TOL_PROPORTIONAL,
     _box,
     _cross3,
     _herm,
@@ -85,9 +84,6 @@ class CCircle:
     def contains(self, p: BoundaryPoint, tol: float = 1e-8) -> bool:
         return self.residual(p) < tol
 
-    def same_as(self, other: "CCircle", tol: float = TOL_PROPORTIONAL) -> bool:
-        return self.polar.proportional_to(other.polar, tol)
-
 
 def ccircle_through(a: BoundaryPoint, b: BoundaryPoint) -> CCircle:
     """The C-circle through two distinct boundary points."""
@@ -115,8 +111,8 @@ def circle_relations(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     Returns the CircleRelation of each row pair, the signed null margin of
     the box product of the two polars and the box product itself, whose
-    class is the meeting point of MEET rows.  Polars proportional as in
-    `CCircle.same_as` are EQUAL.
+    class is the meeting point of MEET rows.  Proportional polars, by
+    `_proportional` at TOL_PROPORTIONAL, are EQUAL.
     """
     same = _proportional(p, q)
     boxed = _box(p, q)

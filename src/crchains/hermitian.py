@@ -9,7 +9,10 @@ first slot, antilinear in the second).  With the conjugate convention
 every angular invariant computed downstream flips sign.  The algebra is
 written once, as an array kernel on (..., 3) arrays with leading axes
 broadcast (`_herm`, `_box`, `_null_margin`, `_proportional`); the scalar
-API wraps it.
+API wraps it.  The one-point rules of `boundary` read a single row, a
+tuple of three numbers, with the row rules `_pair`, `_pair_size`,
+`_tame_row` and `_ball_row`: the same formulas in Python arithmetic, as
+a numpy call on a 3-vector costs more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -77,16 +80,10 @@ class HVector:
             raise GeometryError("zero vector is not a valid lift")
         object.__setattr__(self, "entries", v)
 
-    def inner(self, other: "HVector") -> complex:
-        return herm_inner(self, other)
-
     @property
     def norm2(self) -> float:
         """Hermitian square <v, v>; real up to roundoff."""
         return herm_inner(self, self).real
-
-    def scaled(self, factor: complex) -> "HVector":
-        return HVector(self.entries * factor)
 
     def proportional_to(self, other: "HVector", tol: float = TOL_PROPORTIONAL) -> bool:
         """The one-row case of `_proportional`."""
@@ -121,6 +118,27 @@ def _herm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (np.conj(b)[..., None, :] @ (_H_SIEGEL @ a[..., None]))[..., 0, 0]
 
 
+def _pair(a: tuple, b: tuple) -> complex:
+    """<a, b> of two rows: the one-row `_herm` in Python arithmetic."""
+    return b[0].conjugate() * a[2] + 2.0 * b[1].conjugate() * a[1] + b[2].conjugate() * a[0]
+
+
+def _pair_size(a: tuple, b: tuple) -> float:
+    """The size of `_pair`'s three terms, |b0| |a2| + 2 |b1| |a1| + |b2| |a0|."""
+    return abs(b[0]) * abs(a[2]) + 2.0 * abs(b[1]) * abs(a[1]) + abs(b[2]) * abs(a[0])
+
+
+# The ball chart's entries, for `_ball_row`.
+(_C00, _C01, _C02), (_C10, _C11, _C12), (_C20, _C21, _C22) = _CAYLEY.tolist()
+
+
+def _ball_row(row: tuple) -> tuple[complex, complex]:
+    """Ball coordinates of one Siegel row: the one-row `boundary.ball_rows`."""
+    r0, r1, r2 = row
+    b2 = _C20 * r0 + _C21 * r1 + _C22 * r2
+    return (_C00 * r0 + _C01 * r1 + _C02 * r2) / b2, (_C10 * r0 + _C11 * r1 + _C12 * r2) / b2
+
+
 def _box(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Box product conj(J^-1 (a x b)), orthogonal to a and b."""
     return np.conj(_cross3(a, b) @ _H_SIEGEL_INV.T)
@@ -145,6 +163,17 @@ def _tame(v: np.ndarray) -> np.ndarray:
         return v
     big = np.abs(v).max(axis=-1, keepdims=True)
     return v * np.ldexp(1.0, np.where(big > _HUGE, -np.frexp(big)[1], 0))
+
+
+def _tame_row(row: tuple) -> tuple:
+    """The one-row `_tame` on a standard row (w, z, 1) or (1, 0, 0), in Python
+    arithmetic: row itself unless an entry is above 2^160.  A standard row's
+    largest entry past 1 is w, as |w| >= |z|^2."""
+    big = abs(row[0])
+    if not big > _HUGE:
+        return row
+    s = math.ldexp(1.0, -math.frexp(big)[1])
+    return (row[0] * s, row[1] * s, row[2] * s)
 
 
 def herm_inner(a: HVector, b: HVector) -> complex:
@@ -341,12 +370,10 @@ def classify(g: GroupElement) -> Classification:
 def random_form_preserving(rng: np.random.Generator) -> GroupElement:
     """A pseudo-random element of the isometry group, for invariance tests.
 
-    Built from the su(2,1) Lie algebra: X with X^dagger J = -J X
-    exponentiates into the unitary group of J.
+    Built from the su(2,1) Lie algebra by the Cayley transform: X with
+    X^dagger J = -J X makes (I - X)^-1 (I + X) preserve J.
     """
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     x = 0.5 * (a - _H_SIEGEL_INV @ a.conj().T @ _H_SIEGEL)
     x -= np.trace(x) / 3.0 * np.eye(3)
-    from scipy.linalg import expm
-
-    return GroupElement(expm(x))
+    return GroupElement(np.linalg.solve(np.eye(3) - x, np.eye(3) + x))

@@ -57,7 +57,7 @@ class TestLifts:
 
     def test_scaled_lift_same_point(self):
         p = rand_point()
-        q = BoundaryPoint.from_lift(p.lift.scaled(2.0 - 1.0j))
+        q = BoundaryPoint.from_lift(HVector((2.0 - 1.0j) * p.lift.entries))
         assert p.close_to(q, 1e-10)
 
     def test_non_null_rejected(self):
@@ -110,6 +110,13 @@ class TestCartan:
         # point, 1e-8 apart two
         far = BoundaryPoint(-2, 0.5)
         assert cartan(BoundaryPoint(1, 0), BoundaryPoint(1, 1e-12), far).degenerate
+        # |<a, b>| = 3.5e-12 and 4.5e-12 against term sizes 1 + 2 + 1 = 4,
+        # with the close pair in each of the three pairings
+        a = BoundaryPoint(1, 0)
+        for dt, degenerate in ((3.5e-12, True), (4.5e-12, False)):
+            b = BoundaryPoint(1, dt)
+            for triple in ((a, b, far), (far, a, b), (b, far, a)):
+                assert cartan(*triple).degenerate == degenerate
         assert not cartan(BoundaryPoint(1, 0), BoundaryPoint(1, 1e-8), far).degenerate
 
     @pytest.mark.parametrize("s", [1e3, 1e4, 1e8])
@@ -162,7 +169,8 @@ def _bits(points):
 
 def test_array_rules_match_scalar_point_rules():
     """lifts, ball_rows, point_set and the scalar calls that are their
-    one-row cases give the bits of the old scalar rules."""
+    one-row cases give the bits of the old scalar rules; chordal and apply,
+    written out on the rows, agree with the array rules."""
     from crchains.boundary import ball_rows, lifts, point_set
 
     rng = np.random.default_rng(11)
@@ -180,7 +188,37 @@ def test_array_rules_match_scalar_point_rules():
     assert np.array([p.ball_coords() for p in points]).tobytes() == ball.tobytes()
     chordal = [p.chordal(q) for p, q in zip(points, points[::-1])]
     ref = [float(np.linalg.norm(b - c)) for b, c in zip(ball, ball[::-1])]
-    assert np.array(chordal).tobytes() == np.array(ref).tobytes()
+    assert np.max(np.abs(np.array(chordal) - ref)) <= 1e-15
+
+    # apply: the rules of point_set on g times the lift; t is read off the
+    # row's first entry, so its error is relative to that entry
+    isometries = [random_form_preserving(rng) for _ in range(3)] + [
+        diagonal_loxodromic(2.0 - 1.0j, 0.7),
+        heisenberg_translation(1.0 + 2.0j, -3.0),
+        screw_parabolic(0.4, 1.5),
+        _INVERSION,
+    ]
+    # the inversion maps [0, 0] to e2 = 0 and [0, 1e-310] past every finite row
+    moved = [*points, BoundaryPoint(0, 0), BoundaryPoint(0, 1e-310), BoundaryPoint(1e5j, 0)]
+    flags = set()
+    for g in isometries:
+        for p in moved:
+            got, ref = p.apply(g), point_set((g.matrix @ p.lift.entries)[None]).points[0]
+            assert got.at_infinity == ref.at_infinity
+            flags.add(got.at_infinity)
+            if ref is INFINITY:
+                assert got is INFINITY
+                continue
+            assert abs(got.z - ref.z) <= 1e-13 * abs(ref.z)
+            assert abs(got.t - ref.t) <= 1e-13 * abs(ref.row[0])
+    assert flags == {True, False}
+    swap = GroupElement(np.eye(3)[[0, 2, 1]])  # (w, z, 1) to (w, 1, z): not null
+    for p in moved[:20]:
+        with pytest.raises(GeometryError, match="not null") as exc:
+            p.apply(swap)
+        with pytest.raises(GeometryError, match="not null") as ref:
+            point_set((swap.matrix @ p.lift.entries)[None])
+        assert str(exc.value) == str(ref.value)
 
     e = v * (rng.normal(size=(len(v), 1)) + 1j * rng.normal(size=(len(v), 1)))
     ref = [_reference_from_lift(row) for row in e]
@@ -228,8 +266,21 @@ def test_cartan_invariant_under_dilation(spots, s):
     assert abs(after.angle - before.angle) <= 1e-12
 
 
+def _gram_cartan(p, q, r):
+    """cartan as the one-triple case of cartan_lifts on the tamed rows."""
+    from crchains.boundary import lifts
+    from crchains.hermitian import _tame
+
+    v = _tame(lifts((p, q, r)))
+    h, size = cartan_lifts(v), cartan_lifts(np.abs(v))
+    if any(abs(h[i, j]) <= 1e-12 * size[i, j] for i, j in ((0, 1), (1, 2), (2, 0))):
+        return 0.0, True
+    return cmath.phase(complex(-h[0, 1] * h[1, 2] * h[2, 0])), False
+
+
 def test_cartan_matches_pairwise_reference():
-    """cartan, the one-triple case of cartan_lifts, agrees with the old body."""
+    """cartan agrees with the old body and with the Gram rule cartan_lifts,
+    far rows, infinity and coincident points included."""
     rng = np.random.default_rng(12)
     scale = 10.0 ** rng.uniform(-2, 2, size=(1200, 3, 1))
     zt = rng.normal(size=(1200, 3, 3)) * scale
@@ -242,12 +293,19 @@ def test_cartan_matches_pairwise_reference():
     triples += [[INFINITY, p, q] for p, q in zip(pts, pts[1:])]
     triples += [[p, INFINITY, INFINITY] for p in pts[:10]]
     triples += [[BoundaryPoint(0, 0), BoundaryPoint(1, 1), INFINITY]]
+    triples += [[BoundaryPoint(1000, 0), BoundaryPoint(1000j, 0), BoundaryPoint(-1000, 0)]]
+    r = 10.0 ** rng.uniform(70, 150, size=200)
+    zt = zip(r * np.exp(2j * np.pi * rng.uniform(size=200)), rng.normal(size=200) * r * r)
+    far = [BoundaryPoint(complex(z), float(t)) for z, t in zt]
+    triples += [[a, p, b] for a, b, p in zip(far[::2], far[1::2], pts)]
+    triples += [[a, a, p] for a, p in zip(far, pts)]
+    triples += [[INFINITY, a, p] for a, p in zip(far, pts)]
     flags = set()
     for p, q, r in triples:
-        angle, degenerate = _reference_cartan(p, q, r)
         val = cartan(p, q, r)
-        assert val.degenerate == degenerate
-        assert abs(val.angle - angle) <= 1e-14
+        for angle, degenerate in (_reference_cartan(p, q, r), _gram_cartan(p, q, r)):
+            assert val.degenerate == degenerate
+            assert abs(val.angle - angle) <= 1e-14
         flags.add(degenerate)
     assert flags == {True, False}
 

@@ -342,8 +342,8 @@ def test_version_flag(capsys):
 
 
 def test_sweep_and_crown_load_no_scipy_submodule(tmp_path):
-    """The sweep and crown paths run on numpy alone; scipy's solvers load on
-    the first call that needs one."""
+    """The sweep and crown paths, and random_form_preserving, run on numpy
+    alone; scipy's solvers load on the first call that needs one."""
     import os
     import subprocess
     import sys
@@ -356,9 +356,11 @@ def test_sweep_and_crown_load_no_scipy_submodule(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     code = f"""
 import contextlib, io, json, sys
+import numpy
 import crchains
 from crchains import cli
 from crchains.boundary import BoundaryPoint
+from crchains.hermitian import random_form_preserving
 out = {str(tmp_path)!r}
 with open(out + "/sweep_cfg.json", "w") as fh:
     json.dump({{"n_phases": 2, "word_length": 4}}, fh)
@@ -367,6 +369,7 @@ with open(out + "/crown_cfg.json", "w") as fh:
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["sweep", "--config", out + "/sweep_cfg.json", "--out", out + "/s"]) == 0
     assert cli.main(["crown", "--config", out + "/crown_cfg.json", "--out", out + "/c"]) == 0
+random_form_preserving(numpy.random.default_rng(0))
 subs = ("spatial", "optimize", "linalg", "sparse")
 loaded = [m for m in sys.modules if m.split(".")[:2] in [["scipy", s] for s in subs]]
 assert not loaded, loaded

@@ -243,7 +243,7 @@ class TestEmbeddedness:
             if RCircle.standard().contains(p):
                 continue
             leaf = foliation_leaf_rcircle(p)
-            assert leaf.support.same_as(arc.support, tol=1e-7)
+            assert leaf.support.polar.proportional_to(arc.support.polar, 1e-7)
 
 
 class TestCrossingDetector:

@@ -107,8 +107,8 @@ class TestTriangleGroup:
         g = params.gram()
         for i in range(3):
             for j in range(3):
-                got = rep.mirrors[i].representative.inner(
-                    rep.mirrors[j].representative
+                got = herm_inner(
+                    rep.mirrors[i].representative, rep.mirrors[j].representative
                 )
                 assert got == pytest.approx(g[i, j], abs=1e-10)
 
