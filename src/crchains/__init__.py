@@ -10,9 +10,7 @@ construction with embeddedness certification.
 __version__ = "0.1.0"
 
 from .hermitian import (
-    HVector,
     PointType,
-    ProjectivePoint,
     GroupElement,
     ElementClass,
     herm_inner,

@@ -27,10 +27,10 @@ import numpy as np
 from .hermitian import (
     GeometryError,
     GroupElement,
-    HVector,
     _CAYLEY,
     _H_SIEGEL,
     _ball_row,
+    _is_lift,
     _null_margin,
     _pair,
     _pair_size,
@@ -53,20 +53,21 @@ class BoundaryPoint:
     t = property(lambda self: self.row[0].imag, doc="Heisenberg t, read off the row.")
 
     @property
-    def lift(self) -> HVector:
-        return HVector(np.array(_tame_row(self.row)))
+    def lift(self) -> np.ndarray:
+        """The tamed row as a (3,) complex array."""
+        return np.array(_tame_row(self.row), dtype=complex)
 
     @staticmethod
     def infinity() -> "BoundaryPoint":
         return INFINITY
 
     @staticmethod
-    def from_lift(v: HVector, tol: float = 1e-6) -> "BoundaryPoint":
-        """Invert the standard lift; the input must be null.
+    def from_lift(v: np.ndarray, tol: float = 1e-6) -> "BoundaryPoint":
+        """The point of a null row v, which must be nonzero and finite.
 
         The one-row case of `point_set`.
         """
-        return point_set(v.entries[None], tol).points[0]
+        return point_set(np.asarray(v, dtype=complex).reshape(1, 3), tol).points[0]
 
     def apply(self, g: GroupElement) -> "BoundaryPoint":
         """The image under an isometry: g times the tamed row, read by the
@@ -237,11 +238,14 @@ def standard_rows(z, t, at_infinity=False) -> np.ndarray:
 def point_set(e: np.ndarray, tol: float = 1e-6) -> PointSet:
     """The points of an (N, 3) array of null Siegel lifts.
 
-    Raises unless every row is null to within tol (relative residual).  The
-    point of a row e is [e1 / e2, Im(e0 / e2)], t read off the imaginary
-    part, so a small residual only perturbs, never breaks, the inversion.
-    Rows with |e2| <= 1e-9 |e| are flagged at_infinity.
+    Raises unless every row is nonzero, finite and null to within tol
+    (relative residual).  The point of a row e is [e1 / e2, Im(e0 / e2)], t
+    read off the imaginary part, so a small residual only perturbs, never
+    breaks, the inversion.  Rows with |e2| <= 1e-9 |e| are flagged
+    at_infinity.
     """
+    if not _is_lift(e).all():
+        raise GeometryError("a zero or non-finite row is not a lift")
     residual = np.abs(_null_margin(e))
     bad = residual > tol
     if bad.any():

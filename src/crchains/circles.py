@@ -1,6 +1,6 @@
 """C-circles, arcs, foliation leaves and related predicates.
 
-A C-circle is stored through its polar positive-type point; an arc from a
+A C-circle is stored through its polar row, a positive lift; an arc from a
 to b is the t > 0 component of the canonical chart
 t -> [a + (i t / <b, a>) b] built on the standard lifts of its endpoints.
 Rescaling a lift reparametrizes t by a positive factor, so the point set
@@ -31,9 +31,7 @@ from .boundary import (
 from .hermitian import (
     GeometryError,
     GroupElement,
-    HVector,
     PointType,
-    ProjectivePoint,
     TOL_ARC,
     TOL_ENDPOINT,
     TOL_LIFT,
@@ -67,18 +65,18 @@ BENT_CERT_RATIO = 0.125
 
 @dataclass(frozen=True)
 class CCircle:
-    """A C-circle, encoded by its polar positive-type point."""
+    """A C-circle, encoded by its polar row, a positive lift."""
 
-    polar: ProjectivePoint
+    polar: np.ndarray
 
     def __post_init__(self):
-        if self.polar.point_type is not PointType.POSITIVE:
+        if point_type(self.polar) is not PointType.POSITIVE:
             raise GeometryError("polar point of a C-circle must be positive")
 
     def residual(self, p: BoundaryPoint) -> float:
         """Normalized |<p, polar>|; zero iff p lies on the circle."""
-        m, v = self.polar.representative, p.lift
-        scale = float(np.linalg.norm(m.entries) * np.linalg.norm(v.entries))
+        m, v = self.polar, p.lift
+        scale = float(np.linalg.norm(m) * np.linalg.norm(v))
         return abs(herm_inner(v, m)) / scale
 
     def contains(self, p: BoundaryPoint, tol: float = 1e-8) -> bool:
@@ -90,7 +88,7 @@ def ccircle_through(a: BoundaryPoint, b: BoundaryPoint) -> CCircle:
     m = box(a.lift, b.lift)
     if m is None:
         raise GeometryError("coincident points span no circle")
-    return CCircle(point_type(m))
+    return CCircle(m)
 
 
 class CircleRelation(Enum):
@@ -132,15 +130,12 @@ def ccircles_intersect(c1: CCircle, c2: CCircle) -> CircleIntersection:
 
     The one-row case of `circle_relations`.
     """
-    kind, margin, boxed = circle_relations(
-        c1.polar.representative.entries[None],
-        c2.polar.representative.entries[None],
-    )
+    kind, margin, boxed = circle_relations(c1.polar[None], c2.polar[None])
     kind, margin = kind[0], float(margin[0])
     if kind is CircleRelation.EQUAL:
         return CircleIntersection(kind)
     if kind is CircleRelation.MEET:
-        point = BoundaryPoint.from_lift(HVector(boxed[0]), tol=TOL_LIFT)
+        point = BoundaryPoint.from_lift(boxed[0], tol=TOL_LIFT)
         return CircleIntersection(kind, margin, point)
     return CircleIntersection(kind, margin)
 
@@ -217,7 +212,7 @@ def _chart_points(arcs, ts: list[float]) -> PointSet:
         h = herm_inner(b, a)
         # 1j * t / h stays a Python scalar per t: numpy rounds it differently
         mu = np.array([1j * t / h for t in ts], dtype=complex)
-        rows.append(a.entries + mu[:, None] * b.entries)
+        rows.append(a + mu[:, None] * b)
     return point_set(np.array(rows, dtype=complex).reshape(-1, 3))
 
 
@@ -426,7 +421,7 @@ def bent_certificate(
     if n1 is None or n2 is None:
         raise GeometryError("degenerate half-line configuration")
     w = box(n1, n2)
-    direct = 0.0 if w is None else w.norm2
+    direct = 0.0 if w is None else _herm(w, w).real
     ct = math.cos(theta)
     alpha = 16 * x * y * z * t * (x + z) * (y + t)
     beta = (

@@ -120,8 +120,9 @@ def cmd_sweep(args) -> int:
             args.config, p=3, q=3, r=4, phase_lo=math.pi, phase_hi=4.3, n_phases=16,
             word_length=10, dedup_eps=hermitian.TOL_LIMIT,
         )
-        if s["n_phases"] < 1 or s["phase_hi"] <= s["phase_lo"]:
-            raise ValueError("empty phase range")
+        # NaN fails the chain of comparisons too
+        if s["n_phases"] < 1 or not -math.inf < s["phase_lo"] < s["phase_hi"] < math.inf:
+            raise ValueError("empty or unbounded phase range")
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -180,6 +181,8 @@ def cmd_crown(args) -> int:
             args.config, p=3, q=3, r=4, phase=math.pi, target_tau=math.nan,
             gamma_word="3212", word_length=6,
         )
+        if s["word_length"] < 1:
+            raise ValueError(f"word_length {s['word_length']} is below 1")
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -152,9 +152,7 @@ def embeddedness(crown: Crown) -> EmbeddednessReport:
     """
     arcs = crown.arcs
     n = len(arcs)
-    polars = np.array(
-        [arc.support.polar.representative.entries for _, arc in arcs]
-    ).reshape(-1, 3)
+    polars = np.array([arc.support.polar for _, arc in arcs]).reshape(-1, 3)
     i, j = np.triu_indices(n, k=1)
     kind, margin, _ = circle_relations(polars[i], polars[j])
     screened = kind == CircleRelation.DISJOINT
@@ -227,7 +225,7 @@ def crossing_detector(
     """
     axis = axis_at_infinity(g)  # raises unless g is loxodromic
     curve = _curve_fn_from_sample(sample)
-    n_axis = axis.support.polar.representative.entries
+    n_axis = axis.support.polar
 
     def f(s):
         """Certificate at every s of an array, or at one s."""

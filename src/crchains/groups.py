@@ -33,15 +33,14 @@ from .hermitian import (
     ElementClass,
     GeometryError,
     GroupElement,
-    HVector,
     PointType,
-    ProjectivePoint,
     TOL_DEDUP,
     TOL_LIFT,
     TOL_LIMIT,
     _CAYLEY_INV,
     _H_SIEGEL,
     _classify_rows,
+    _herm,
     _null_margin,
     _unit_det,
     point_type,
@@ -94,7 +93,7 @@ class Representation:
 
     params: TriangleParams
     generators: tuple[GroupElement, GroupElement, GroupElement]
-    mirrors: tuple[ProjectivePoint, ProjectivePoint, ProjectivePoint]
+    mirrors: tuple[np.ndarray, np.ndarray, np.ndarray]  # polar rows
     relator_report: tuple[RelatorCheck, ...]
     tau: complex
 
@@ -109,13 +108,12 @@ class Representation:
         return GroupElement(m)
 
 
-def complex_reflection(c: ProjectivePoint) -> GroupElement:
-    """Order-two complex reflection fixing the line polar to c pointwise."""
-    if c.point_type is not PointType.POSITIVE:
+def complex_reflection(c: np.ndarray) -> GroupElement:
+    """Order-two complex reflection fixing the line polar to the row c pointwise."""
+    if point_type(c) is not PointType.POSITIVE:
         raise GeometryError("reflection mirror must be a positive-type point")
-    v = c.representative
-    e = v.entries
-    m = -np.eye(3, dtype=complex) + (2.0 / v.norm2) * np.outer(e, np.conj(e) @ _H_SIEGEL)
+    scale = 2.0 / _herm(c, c).real
+    m = -np.eye(3, dtype=complex) + scale * np.outer(c, np.conj(c) @ _H_SIEGEL)
     return GroupElement(m)
 
 
@@ -125,8 +123,8 @@ def _scalar_defect(m: np.ndarray) -> float:
     return float(np.linalg.norm(m - lam * np.eye(3)) / max(np.linalg.norm(m), 1e-300))
 
 
-def _realize_gram(g: np.ndarray) -> list[HVector]:
-    """Siegel-model vectors c_i with <c_i, c_j> = G[i, j].
+def _realize_gram(g: np.ndarray) -> list[np.ndarray]:
+    """Siegel-model rows c_i with <c_i, c_j> = G[i, j].
 
     Columns C of the ball-model solution satisfy C^dagger J_ball C =
     conj(G); eigendecomposition of conj(G) with signature-ordered
@@ -142,14 +140,13 @@ def _realize_gram(g: np.ndarray) -> list[HVector]:
             f"Gram matrix signature is not (2,1): eigenvalues {vals}"
         )
     c = np.diag(np.sqrt(np.abs(vals))) @ np.conj(vecs.T)
-    return [HVector(_CAYLEY_INV @ c[:, k]) for k in range(3)]
+    return [_CAYLEY_INV @ c[:, k] for k in range(3)]
 
 
 def triangle_group(params: TriangleParams) -> Representation:
     """Build the reflection representation for the given Gram phase."""
     g = params.gram()
-    mirrors_v = _realize_gram(g)
-    mirrors = tuple(point_type(v) for v in mirrors_v)
+    mirrors = tuple(_realize_gram(g))
     gens = tuple(complex_reflection(m) for m in mirrors)
     orders = (params.p, params.q, params.r)
     pairs = ((0, 1), (1, 2), (2, 0))

@@ -1,18 +1,20 @@
 """Hermitian linear algebra on C^3 for the Siegel form of signature (2,1).
 
 The geometry lives in the Siegel model, with form J = antidiag(1, 2, 1):
-every lift is a Siegel lift and `GroupElement` preserves J.  The ball
-model, with form diag(1, 1, -1), is only a chart: the fixed matrix
-`_CAYLEY` carries Siegel lifts to ball lifts for `boundary.ball_rows`.
-The inner product convention is ``<a, b> = b^dagger J a`` (linear in the
-first slot, antilinear in the second).  With the conjugate convention
-every angular invariant computed downstream flips sign.  The algebra is
-written once, as an array kernel on (..., 3) arrays with leading axes
-broadcast (`_herm`, `_box`, `_null_margin`, `_proportional`); the scalar
-API wraps it.  The one-point rules of `boundary` read a single row, a
-tuple of three numbers, with the row rules `_pair`, `_pair_size`,
-`_tame_row` and `_ball_row`: the same formulas in Python arithmetic, as
-a numpy call on a 3-vector costs more than the arithmetic.
+every lift is a Siegel lift, a row of three complex numbers, and
+`GroupElement` preserves J.  The ball model, with form diag(1, 1, -1), is
+only a chart: the fixed matrix `_CAYLEY` carries Siegel lifts to ball
+lifts for `boundary.ball_rows`.  The inner product convention is
+``<a, b> = b^dagger J a`` (linear in the first slot, antilinear in the
+second).  With the conjugate convention every angular invariant computed
+downstream flips sign.  The algebra is written once, as an array kernel
+on (..., 3) arrays with leading axes broadcast (`_herm`, `_box`,
+`_null_margin`, `_proportional`); `herm_inner`, `box`, `det3` and
+`point_type` take single rows, (3,) arrays, and are its one-row cases.
+The one-point rules of `boundary` read a row stored as a tuple of three
+numbers, with the row rules `_pair`, `_pair_size`, `_tame_row` and
+`_ball_row`: the same formulas in Python arithmetic, as a numpy call on
+a 3-vector costs more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import numpy as np
 # The tolerance table; the CLI writes every TOL_* name into its JSON metadata.
 TOL_NULL = 1e-9  # relative null margin of a lift, |<v, v>| / |v|^2
 TOL_LOX = 1e-7  # leading eigenvalue modulus above 1 for a loxodromic
-TOL_EIGVEC = 1e-6  # null margin of a loxodromic fixed-point eigenvector
 TOL_LIFT = 1e-4  # null margin accepted when a computed lift is read as a point
 TOL_ARC = 1e-4  # support residual of a meeting point counted on an arc
 TOL_ENDPOINT = 1e-7  # chordal distance at which two arc endpoints coincide
@@ -66,28 +67,6 @@ class PointType(Enum):
     NEGATIVE = -1
     NULL = 0
     POSITIVE = 1
-
-
-@dataclass(frozen=True)
-class HVector:
-    """A nonzero Siegel lift in C^3."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.entries, dtype=complex).reshape(3)
-        if not (v[0] or v[1] or v[2]):  # ndarray.any is slower on 3 entries
-            raise GeometryError("zero vector is not a valid lift")
-        object.__setattr__(self, "entries", v)
-
-    @property
-    def norm2(self) -> float:
-        """Hermitian square <v, v>; real up to roundoff."""
-        return herm_inner(self, self).real
-
-    def proportional_to(self, other: "HVector", tol: float = TOL_PROPORTIONAL) -> bool:
-        """The one-row case of `_proportional`."""
-        return bool(_proportional(self.entries, other.entries, tol))
 
 
 _ROLL = np.array([1, 2, 0])
@@ -176,60 +155,46 @@ def _tame_row(row: tuple) -> tuple:
     return (row[0] * s, row[1] * s, row[2] * s)
 
 
-def herm_inner(a: HVector, b: HVector) -> complex:
-    """Hermitian product <a, b> = b^dagger J a."""
-    return complex(_herm(a.entries, b.entries))
+def herm_inner(a: np.ndarray, b: np.ndarray) -> complex:
+    """Hermitian product <a, b> = b^dagger J a of two rows."""
+    return complex(_herm(a, b))
 
 
-def box(a: HVector, b: HVector) -> HVector | None:
-    """Box product: the lift conj(J^-1 (a x b)), orthogonal to a and b.
+def box(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Box product of two rows: conj(J^-1 (a x b)), orthogonal to a and b.
 
     Returns None when the inputs are proportional (the cross product
     vanishes and there is no well-defined polar point).
     """
     # the rule of `_proportional` at tol 1e-14 and of `_box`, on one cross product
-    e, f = a.entries, b.entries
-    cross = _cross3(e, f)
-    if _norm(cross) < 1e-14 * (_norm(e) * _norm(f)):
+    cross = _cross3(a, b)
+    if _norm(cross) < 1e-14 * (_norm(a) * _norm(b)):
         return None
-    return HVector(np.conj(cross @ _H_SIEGEL_INV.T))
+    return np.conj(cross @ _H_SIEGEL_INV.T)
 
 
-def det3(a: HVector, b: HVector, c: HVector) -> complex:
-    """Determinant of the column lifts; equals <a, b box c>."""
-    return complex(np.linalg.det(np.column_stack([a.entries, b.entries, c.entries])))
+def det3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> complex:
+    """Determinant of the rows as columns; equals <a, b box c>."""
+    return complex(np.linalg.det(np.column_stack([a, b, c])))
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """A point of CP^2 with its sign class under the Hermitian form."""
-
-    representative: HVector
-    point_type: PointType
-    type_margin: float
-
-    def proportional_to(
-        self, other: "ProjectivePoint", tol: float = TOL_PROPORTIONAL
-    ) -> bool:
-        return self.representative.proportional_to(other.representative, tol)
+def _is_lift(v: np.ndarray) -> np.ndarray:
+    """Rows of v that are the lift of a point of CP^2: nonzero and finite."""
+    return np.isfinite(v).all(-1) & v.any(-1)
 
 
-# Row kinds of _point_kinds by code: 0 NEGATIVE, 1 NULL, 2 POSITIVE.
-_POINT_KINDS = np.array([*PointType], dtype=object)
+def point_type(v: np.ndarray, tol_null: float = TOL_NULL) -> PointType:
+    """The sign class of the row v: NULL when its relative null margin
+    |<v, v>| / |v|^2 is below tol_null, else the sign of <v, v>.
 
-
-def _point_kinds(v: np.ndarray, tol_null: float):
-    """PointType and type margin |<v, v>| / |v|^2 of each row of lifts: NULL
-    below tol_null, else by the sign of <v, v>, a NaN margin POSITIVE."""
+    GeometryError on a zero or non-finite row, which is no point.
+    """
+    if not _is_lift(v):
+        raise GeometryError("a zero or non-finite row is not a lift")
     margin = _null_margin(v)
-    code = np.where(np.abs(margin) < tol_null, 1, np.where(margin < 0, 0, 2))
-    return _POINT_KINDS[code], np.abs(margin)
-
-
-def point_type(v: HVector, tol_null: float = TOL_NULL) -> ProjectivePoint:
-    """Classify [v] as negative, null or positive: the one-row `_point_kinds`."""
-    kind, margin = _point_kinds(v.entries, tol_null)
-    return ProjectivePoint(v, kind, float(margin))
+    if abs(margin) < tol_null:
+        return PointType.NULL
+    return PointType.NEGATIVE if margin < 0 else PointType.POSITIVE
 
 
 class ElementClass(Enum):
@@ -254,7 +219,7 @@ def _central_normalize(lam_max: complex) -> complex:
 class Classification:
     kind: ElementClass
     rotation_factor: float | None = None
-    fixed_points: tuple[ProjectivePoint, ProjectivePoint] | None = None
+    fixed_points: tuple[np.ndarray, np.ndarray] | None = None  # attracting, repelling rows
 
 
 @dataclass(frozen=True)
@@ -287,9 +252,6 @@ class GroupElement:
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.matrix @ other.matrix)
-
-    def apply(self, v: HVector) -> HVector:
-        return HVector(self.matrix @ v.entries)
 
     @cached_property
     def classification(self) -> Classification:
@@ -357,14 +319,7 @@ def classify(g: GroupElement) -> Classification:
     rot = 3.0 * theta
     if rot > math.pi:
         rot -= 2.0 * math.pi
-    return Classification(
-        ElementClass.LOXODROMIC,
-        rot,
-        (
-            point_type(HVector(attracting[0]), TOL_EIGVEC),
-            point_type(HVector(repelling[0]), TOL_EIGVEC),
-        ),
-    )
+    return Classification(ElementClass.LOXODROMIC, rot, (attracting[0], repelling[0]))
 
 
 def random_form_preserving(rng: np.random.Generator) -> GroupElement:

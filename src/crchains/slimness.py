@@ -212,13 +212,13 @@ class SweepResult:
 
     def row_dicts(self) -> list[dict]:
         """JSON-ready rows, one key per `SweepRow` field in field order: tau
-        as [re, im], the argmax triple as point strings (None on a failed row)."""
+        as [re, im], the argmax triple as point strings.  A failed row's NaN
+        tau parts and sup_estimate, and its argmax, are None (JSON null:
+        strict JSON has no NaN)."""
         return [
-            dict(
-                vars(r),
-                tau=[r.tau.real, r.tau.imag],
-                argmax=None if r.error is not None else [str(p) for p in r.argmax],
-            )
+            dict(vars(r), tau=[r.tau.real, r.tau.imag], argmax=[str(p) for p in r.argmax])
+            if r.error is None
+            else dict(vars(r), tau=[None, None], sup_estimate=None, argmax=None)
             for r in self.rows
         ]
 

@@ -31,7 +31,6 @@ from crchains.groups import (
     triangle_group_at_tau,
 )
 from crchains.hermitian import (
-    HVector,
     box,
     det3,
     herm_inner,
@@ -61,7 +60,7 @@ def test_criterion_01_algebraic_identities():
     raw = RNG.normal(size=(n, 4, 3)) + 1j * RNG.normal(size=(n, 4, 3))
     raw /= np.linalg.norm(raw, axis=2, keepdims=True)
     for quad in raw:
-        a, b, c, d = (HVector(v) for v in quad)
+        a, b, c, d = quad
         # polar vector against the determinant
         worst = max(worst, abs(herm_inner(a, box(b, c)) - det3(a, b, c)))
         # expansion of a product of two polar vectors
@@ -72,8 +71,8 @@ def test_criterion_01_algebraic_identities():
         )
         worst = max(worst, abs(lhs - rhs))
         # double polar recovers the common vector
-        vec = box(box(a, b), box(a, c)).entries
-        ref = (det3(a, b, c) / det_j) * a.entries
+        vec = box(box(a, b), box(a, c))
+        ref = (det3(a, b, c) / det_j) * a
         worst = max(worst, float(np.max(np.abs(vec - ref))))
     assert worst < 1e-9
 

@@ -31,8 +31,8 @@ from crchains.circles import (
 from crchains.groups import diagonal_loxodromic
 from crchains.hermitian import (
     GeometryError,
-    HVector,
     _H_SIEGEL,
+    _proportional,
     box,
     herm_inner,
     random_form_preserving,
@@ -106,7 +106,7 @@ class TestCirclesIntersect:
         # an equal circle and circles meeting at a sample point
         circles += [ccircle_through(BoundaryPoint(0, 1), BoundaryPoint(0, -3))]
         circles += [ccircle_through(pts[0], rand_point()) for _ in range(5)]
-        polars = np.array([c.polar.representative.entries for c in circles])
+        polars = np.array([c.polar for c in circles])
         i, j = np.triu_indices(len(circles), k=1)
         kind, margin, _ = circle_relations(polars[i], polars[j])
         seen = set()
@@ -343,7 +343,7 @@ class TestBentLeaf:
         p = BoundaryPoint(1 + 1j, 0.5)
         leaf_bent = bent_leaf(p, math.pi)
         leaf_std = foliation_leaf_rcircle(p)
-        assert leaf_bent.support.polar.proportional_to(leaf_std.support.polar, 1e-6)
+        assert _proportional(leaf_bent.support.polar, leaf_std.support.polar, 1e-6)
 
     def test_out_of_range_angle(self):
         with pytest.raises(GeometryError):
@@ -461,7 +461,7 @@ def test_malformed_json_is_a_geometry_error(read, payload):
 def test_min_collinearity_witness():
     arc = Arc(BoundaryPoint(0, -1), BoundaryPoint(0, 1))
     pts = [arc.start, arc.point(1.0), arc.end, BoundaryPoint(3.0, 0.0)]
-    lifts = np.array([p.lift.entries for p in pts])
+    lifts = np.array([p.lift for p in pts])
     val, witness = min_collinearity(lifts)
     assert val < 1e-12
     assert set(witness) == {0, 1, 2}
@@ -493,8 +493,8 @@ def _reference_leaf_rcircle(p):
     if RCircle.standard().contains(p):
         raise GeometryError("point lies on the R-circle")
     v = p.lift
-    m = box(v, HVector(np.conj(v.entries)))
-    entries = m.entries / m.entries[int(np.argmax(np.abs(m.entries)))]
+    m = box(v, np.conj(v))
+    entries = m / m[int(np.argmax(np.abs(m)))]
     a, b = _real_null_points_on_polar(np.real(entries))
     arc = Arc(a, b)
     t, _ = arc.param_of(p)
@@ -607,7 +607,7 @@ def test_rcircle_leaf_matches_60_digit_roots():
 
 def _reference_param_of(arc, p):
     """Arc.param_of as it was: least squares in the span of the endpoint lifts."""
-    a, b, v = arc.start.lift.entries, arc.end.lift.entries, p.lift.entries
+    a, b, v = arc.start.lift, arc.end.lift, p.lift
     basis = np.column_stack([a, b])
     coef = np.linalg.lstsq(basis, v, rcond=None)[0]
     residual = float(np.linalg.norm(v - basis @ coef) / np.linalg.norm(v))

@@ -78,7 +78,7 @@ class TestSweepCommand:
         assert meta["version"] == __version__
         assert "seed" not in meta
         assert set(meta["tolerances"]) == {
-            "null", "lox", "eigvec", "lift", "arc", "endpoint",
+            "null", "lox", "lift", "arc", "endpoint",
             "proportional", "dedup", "limit",
         }
         assert len(meta["config_hash"]) == 64
@@ -140,6 +140,31 @@ class TestSweepCommand:
         resumed = json.loads((out / "sweep.json").read_text())
         assert resumed["rows"] == full["rows"]
         assert (out / "sweep.csv").read_text() == full_csv
+
+    def test_failed_rows_are_strict_json(self, tmp_path, capsys):
+        """A failed phase writes null, not NaN, for its tau and supremum, so
+        an RFC 8259 parser reads sweep.json; --resume recomputes that row."""
+
+        def strict(text):
+            def refuse(name):
+                raise ValueError(f"{name} is not JSON")
+
+            return json.loads(text, parse_constant=refuse)
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"phase_lo": 3.14159, "phase_hi": 6.0, "n_phases": 3, "word_length": 3})
+        )
+        out = tmp_path / "out"
+        for argv in ([], ["--resume"]):
+            assert main(["sweep", "--config", str(cfg), "--out", str(out), *argv]) == 0
+            rows = strict((out / "sweep.json").read_text())["rows"]
+            failed = [row for row in rows if row["error"] is not None]
+            assert [row["index"] for row in failed] == [2]  # the phase 6.0
+            assert failed[0]["tau"] == [None, None] and failed[0]["sup_estimate"] is None
+            assert all(math.isfinite(row["sup_estimate"]) for row in rows if row not in failed)
+            assert len((out / "sweep.csv").read_text().splitlines()) == 3
+        assert "resume: 2 phases already complete" in capsys.readouterr().out
 
     def test_resume_refuses_other_config(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -234,6 +259,17 @@ class TestCrownCommand:
         assert report["min_margin"] == pytest.approx(0.0466, abs=5e-5)
         assert (out / "crown.json").exists()
 
+    def test_word_length_below_one_is_a_config_error(self, tmp_path, capsys):
+        # a crown of no arcs certified nothing, with the margin inf
+        for n in (0, -1):
+            cfg = tmp_path / f"cfg{n}.json"
+            cfg.write_text(json.dumps({"word_length": n}))
+            out = tmp_path / f"o{n}"
+            code = main(["crown", "--config", str(cfg), "--out", str(out)])
+            assert code == 2
+            assert f"config error: word_length {n} is below 1" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_non_loxodromic_core(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"gamma_word": "1", "word_length": 2}))
@@ -252,7 +288,7 @@ class TestCrownCommand:
             ),
         )
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"word_length": 0}))
+        cfg.write_text(json.dumps({"word_length": 1}))
         out = tmp_path / "out"
         code = main(["crown", "--config", str(cfg), "--out", str(out)])
         assert code == 4
@@ -277,6 +313,8 @@ class TestCrownCommand:
         ("crown", {"word_length": 2.9}),  # int() would truncate it to 2
         ("sweep", {"n_phases": True}),  # int() would read it as 1
         ("sweep", {"phase_lo": False}),  # float() would read it as 0.0
+        ("sweep", {"phase_lo": math.nan}),  # every phase would be NaN
+        ("sweep", {"phase_hi": math.inf}),
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, cfg):

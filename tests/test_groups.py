@@ -35,10 +35,8 @@ from crchains.hermitian import (
     ElementClass,
     GeometryError,
     GroupElement,
-    HVector,
     classify,
     herm_inner,
-    point_type,
 )
 
 TAU_FUCHSIAN = 2 + 2 * math.sqrt(2)
@@ -62,28 +60,28 @@ class TestTriangleParams:
 
 class TestComplexReflection:
     def test_is_involution(self):
-        c = point_type(HVector(np.array([0.0, 1.0, 0.0])))
+        c = np.array([0.0, 1.0, 0.0])
         m = complex_reflection(c)
         assert np.allclose(m.matrix @ m.matrix, np.eye(3), atol=1e-12)
 
     def test_preserves_form(self):
-        c = point_type(HVector(np.array([1.0, 0.5 + 0.2j, 0.3])))
+        c = np.array([1.0, 0.5 + 0.2j, 0.3])
         assert complex_reflection(c).form_residual() < 1e-10
 
     def test_unit_determinant(self):
-        c = point_type(HVector(np.array([0.0, 1.0, 0.0])))
+        c = np.array([0.0, 1.0, 0.0])
         assert complex_reflection(c).det == pytest.approx(1.0)
 
     def test_fixes_polar_line_pointwise(self):
         # the mirror of (0,1,0) is the chain through the origin and infinity
-        c = point_type(HVector(np.array([0.0, 1.0, 0.0])))
+        c = np.array([0.0, 1.0, 0.0])
         m = complex_reflection(c)
         for p in (BoundaryPoint(0, 0), INFINITY, BoundaryPoint(0, 2.0)):
             assert p.apply(m).close_to(p, 1e-10)
 
     def test_null_mirror_rejected(self):
         with pytest.raises(GeometryError):
-            complex_reflection(point_type(HVector(np.array([1.0, 0.0, 0.0]))))
+            complex_reflection(np.array([1.0, 0.0, 0.0]))
 
 
 class TestTriangleGroup:
@@ -107,9 +105,7 @@ class TestTriangleGroup:
         g = params.gram()
         for i in range(3):
             for j in range(3):
-                got = herm_inner(
-                    rep.mirrors[i].representative, rep.mirrors[j].representative
-                )
+                got = herm_inner(rep.mirrors[i], rep.mirrors[j])
                 assert got == pytest.approx(g[i, j], abs=1e-10)
 
     def test_wrong_signature_rejected(self):
@@ -305,7 +301,7 @@ def _pairwise_limit_points(words, eps=1e-3):
             continue
         for fp in cls.fixed_points:
             try:
-                p = BoundaryPoint.from_lift(fp.representative, tol=1e-4)
+                p = BoundaryPoint.from_lift(fp, tol=1e-4)
             except GeometryError:
                 continue
             c = np.concatenate([[w.real, w.imag] for w in p.ball_coords()])
@@ -359,7 +355,7 @@ def _per_point_sample(arc, n, t_range):
     for t in np.geomspace(t_range[0], t_range[1], n):
         a, b = arc.start.lift, arc.end.lift
         mu = 1j * float(t) / herm_inner(b, a)
-        out.append(BoundaryPoint.from_lift(HVector(a.entries + mu * b.entries)))
+        out.append(BoundaryPoint.from_lift(a + mu * b))
     return out
 
 
@@ -570,7 +566,7 @@ class TestLimitSet:
         rep = triangle_group(TriangleParams(3, 3, 4))
         ls = limit_set(rep, 6)
         for p in ls.points:
-            assert abs(p.lift.norm2) < 1e-8
+            assert abs(herm_inner(p.lift, p.lift).real) < 1e-8
 
     def test_r_fuchsian_points_real(self):
         rep = triangle_group(TriangleParams(3, 3, 4))

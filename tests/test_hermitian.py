@@ -10,7 +10,6 @@ from crchains.hermitian import (
     ElementClass,
     GeometryError,
     GroupElement,
-    HVector,
     IndeterminateClassError,
     PointType,
     TOL_NULL,
@@ -33,7 +32,7 @@ RNG = np.random.default_rng(20240817)
 
 
 def rand_vec():
-    return HVector(RNG.normal(size=3) + 1j * RNG.normal(size=3))
+    return RNG.normal(size=3) + 1j * RNG.normal(size=3)
 
 
 class TestForms:
@@ -48,23 +47,18 @@ class TestForms:
     def test_inner_linear_first_slot(self):
         a, b = rand_vec(), rand_vec()
         lam = 2.0 - 3.0j
-        assert herm_inner(HVector(lam * a.entries), b) == pytest.approx(lam * herm_inner(a, b))
-        assert herm_inner(a, HVector(lam * b.entries)) == pytest.approx(
+        assert herm_inner(lam * a, b) == pytest.approx(lam * herm_inner(a, b))
+        assert herm_inner(a, lam * b) == pytest.approx(
             np.conj(lam) * herm_inner(a, b)
         )
 
     def test_standard_lift_norms(self):
         # lift of [0, 0] against lift of infinity: <(0,0,1), (1,0,0)> = 1
-        o = HVector(np.array([0.0, 0.0, 1.0]))
-        inf = HVector(np.array([1.0, 0.0, 0.0]))
+        o = np.array([0.0, 0.0, 1.0])
+        inf = np.array([1.0, 0.0, 0.0])
         assert herm_inner(o, inf) == pytest.approx(1.0)
-        assert o.norm2 == pytest.approx(0.0)
-        assert inf.norm2 == pytest.approx(0.0)
-
-    def test_hvector_single_field(self):
-        from dataclasses import fields
-
-        assert [f.name for f in fields(HVector)] == ["entries"]
+        assert herm_inner(o, o) == pytest.approx(0.0)
+        assert herm_inner(inf, inf) == pytest.approx(0.0)
 
 
 class TestCayley:
@@ -82,12 +76,12 @@ class TestBox:
         for _ in range(100):
             a, b = rand_vec(), rand_vec()
             n = box(a, b)
-            assert abs(herm_inner(a, n)) < 1e-10 * np.linalg.norm(n.entries)
-            assert abs(herm_inner(b, n)) < 1e-10 * np.linalg.norm(n.entries)
+            assert abs(herm_inner(a, n)) < 1e-10 * np.linalg.norm(n)
+            assert abs(herm_inner(b, n)) < 1e-10 * np.linalg.norm(n)
 
     def test_proportional_returns_none(self):
         a = rand_vec()
-        assert box(a, HVector((3.0 - 1.0j) * a.entries)) is None
+        assert box(a, (3.0 - 1.0j) * a) is None
 
     def test_det_identity(self):
         # <a, b box c> equals det(a, b, c)
@@ -113,22 +107,22 @@ class TestBox:
         for _ in range(50):
             a, b, c = rand_vec(), rand_vec(), rand_vec()
             lhs = box(box(a, b), box(a, c))
-            rhs = HVector(factor * det3(a, b, c) * a.entries)
-            assert np.allclose(lhs.entries, rhs.entries, rtol=1e-9, atol=1e-9)
+            rhs = factor * det3(a, b, c) * a
+            assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
 
 
 class TestPointType:
     def test_interior_point(self):
-        v = HVector(np.array([-1.0, 0.0, 1.0]))  # the ball centre; <v, v> = -2
-        assert point_type(v).point_type is PointType.NEGATIVE
+        v = np.array([-1.0, 0.0, 1.0])  # the ball centre; <v, v> = -2
+        assert point_type(v) is PointType.NEGATIVE
 
     def test_polar_point(self):
-        v = HVector(np.array([0.0, 1.0, 0.0]))
-        assert point_type(v).point_type is PointType.POSITIVE
+        v = np.array([0.0, 1.0, 0.0])
+        assert point_type(v) is PointType.POSITIVE
 
     def test_null_point(self):
-        v = HVector(np.array([1.0, 0.0, 0.0]))
-        assert point_type(v).point_type is PointType.NULL
+        v = np.array([1.0, 0.0, 0.0])
+        assert point_type(v) is PointType.NULL
 
 
 class TestGroupElement:
@@ -177,8 +171,8 @@ class TestClassification:
         g = GroupElement(np.diag([2.0, 1.0, 0.5]))
         cls = classify(g)
         att, rep = cls.fixed_points
-        assert np.allclose(np.abs(att.representative.entries), [1, 0, 0])
-        assert np.allclose(np.abs(rep.representative.entries), [0, 0, 1])
+        assert np.allclose(np.abs(att), [1, 0, 0])
+        assert np.allclose(np.abs(rep), [0, 0, 1])
 
     def test_parabolic_translation(self):
         m = np.array([[1, -2, -1], [0, 1, 1], [0, 0, 1]], dtype=complex)
@@ -205,29 +199,46 @@ class TestClassification:
 
 class TestErrors:
     def test_zero_vector_rejected(self):
-        with pytest.raises(GeometryError):
-            HVector(np.zeros(3))
+        """A zero or non-finite row is no point: every entry point that reads
+        a row as a lift raises GeometryError, without a RuntimeWarning."""
+        from crchains.boundary import BoundaryPoint, point_set
+        from crchains.circles import CCircle
+        from crchains.groups import complex_reflection
+
+        for row in ([0, 0, 0], [np.nan, 0, 1], [1, np.inf, 0], [0, 1j, -np.inf * 1j]):
+            row = np.array(row, dtype=complex)
+            for call in (
+                lambda: point_set(row[None]),
+                lambda: point_set(np.stack([[1.0, 0, 0], row])),
+                lambda: BoundaryPoint.from_lift(row),
+                lambda: CCircle(row),
+                lambda: complex_reflection(row),
+                lambda: point_type(row),
+            ):
+                with pytest.raises(GeometryError, match="zero or non-finite"):
+                    call()
 
 
 # Reference bodies of the scalar functions from before the array kernel,
-# kept verbatim apart from the form, which they took from the lift's model tag.
+# kept verbatim apart from the form, which they took from the lift's model tag,
+# and the lift wrapper, whose entries they read: they take the rows themselves.
 
 
 def _scalar_herm_inner(a, b):
-    return complex(np.conj(b.entries) @ (_H_SIEGEL @ a.entries))
+    return complex(np.conj(b) @ (_H_SIEGEL @ a))
 
 
 def _scalar_box(a, b):
-    cross = np.cross(a.entries, b.entries)
-    scale = float(np.linalg.norm(a.entries) * np.linalg.norm(b.entries))
+    cross = np.cross(a, b)
+    scale = float(np.linalg.norm(a) * np.linalg.norm(b))
     if np.linalg.norm(cross) < 1e-14 * scale:
         return None
-    return HVector(np.conj(np.linalg.inv(_H_SIEGEL) @ cross))
+    return np.conj(np.linalg.inv(_H_SIEGEL) @ cross)
 
 
 def _scalar_point_type(v, tol_null=TOL_NULL):
     norm2 = _scalar_herm_inner(v, v).real
-    euc = float(np.vdot(v.entries, v.entries).real)
+    euc = float(np.vdot(v, v).real)
     margin = abs(norm2) / euc
     if margin < tol_null:
         return PointType.NULL, margin
@@ -258,16 +269,15 @@ def test_kernel_matches_scalar_reference():
     assert _bits(_null_margin(stacked[0])) == _bits(margin.reshape(4, n // 4))
     kinds = set()
     for k in range(n):
-        va, vb = HVector(a[k]), HVector(b[k])
+        va, vb = a[k], b[k]
         ref = _scalar_herm_inner(va, vb)
         assert _bits(herm_inner(va, vb)) == _bits(ref)
         assert _bits(_herm(a[k], b[k])) == _bits(herm[k]) == _bits(ref)
-        ref_box = _scalar_box(va, vb).entries
-        assert _bits(box(va, vb).entries) == _bits(ref_box)
+        ref_box = _scalar_box(va, vb)
+        assert _bits(box(va, vb)) == _bits(ref_box)
         assert _bits(_box(a[k], b[k])) == _bits(polar[k]) == _bits(ref_box)
         kind, ref_margin = _scalar_point_type(va)
-        pt = point_type(va)
-        assert pt.point_type is kind and _bits(pt.type_margin) == _bits(ref_margin)
+        assert point_type(va) is kind
         assert _bits(abs(_null_margin(a[k]))) == _bits(abs(margin[k])) == _bits(ref_margin)
         kinds.add(kind)
     assert kinds == set(PointType)
@@ -339,8 +349,8 @@ def test_stacked_classifier_matches_per_element_reference():
         assert cls.rotation_factor == rot
         if kind is ElementClass.LOXODROMIC:
             att, rep = cls.fixed_points
-            assert att.representative.entries.tobytes() == fixed[0].tobytes()
-            assert rep.representative.entries.tobytes() == fixed[1].tobytes()
+            assert att.tobytes() == fixed[0].tobytes()
+            assert rep.tobytes() == fixed[1].tobytes()
             assert attracting[k].tobytes() == fixed[0].tobytes()
             assert repelling[k].tobytes() == fixed[1].tobytes()
         else:
@@ -348,14 +358,14 @@ def test_stacked_classifier_matches_per_element_reference():
 
 
 def _reference_proportional(a, b, tol=1e-9):
-    """HVector.proportional_to as it was, one pair of entries at a time."""
+    """The proportional rule of the old lift wrapper, one pair of rows at a time."""
     c = np.cross(a, b)
     return float(np.linalg.norm(c)) < tol * float(np.linalg.norm(a) * np.linalg.norm(b))
 
 
 def test_proportional_rows_match_scalar_reference():
-    """`_proportional` rows, and `proportional_to` as their one-row case,
-    give the old scalar verdicts on either side of the tolerance."""
+    """`_proportional` on stacked rows, and on one row at a time, gives the
+    old scalar verdicts on either side of the tolerance."""
     rng = np.random.default_rng(30)
     a = rng.normal(size=(600, 3)) + 1j * rng.normal(size=(600, 3))
     c = rng.normal(size=(600, 1)) + 1j * rng.normal(size=(600, 1))
@@ -364,5 +374,5 @@ def test_proportional_rows_match_scalar_reference():
     for tol in (1e-14, 1e-9):
         ref = [_reference_proportional(x, y, tol) for x, y in zip(a, b)]
         assert _proportional(a, b, tol).tolist() == ref
-        assert [HVector(x).proportional_to(HVector(y), tol) for x, y in zip(a, b)] == ref
+        assert [bool(_proportional(x, y, tol)) for x, y in zip(a, b)] == ref
         assert 0 < sum(ref) < len(ref)

@@ -284,7 +284,7 @@ def test_triple_scan_matches_reference(name):
     """One triple scan gives what the per-row and per-pair loops gave."""
     sample = SCAN_SAMPLES[name]()
     pts = list(sample.points)
-    v = np.array([p.lift.entries for p in pts])
+    v = np.array([p.lift for p in pts])
     assert np.array_equal(lifts(pts), v)
 
     best, (i, j, k) = _triu_cartan_scan(v)
