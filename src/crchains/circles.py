@@ -530,11 +530,6 @@ def spiral_rows(a: float, s) -> np.ndarray:
     return standard_rows(z, [3 * a * math.exp(2 * x) for x in s])
 
 
-def spiral_point(a: float, s: float) -> BoundaryPoint:
-    """Point of the horizontal loxodromic spiral: the one-row `spiral_rows`."""
-    return PointSet(spiral_rows(a, [s]), np.zeros(1, dtype=bool)).points[0]
-
-
 def spiral_curve(
     a: float, s_range: tuple[float, float] = (-6.0, 6.0), n: int = 300
 ) -> CurveSample:

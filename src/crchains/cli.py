@@ -123,6 +123,8 @@ def cmd_sweep(args) -> int:
         # NaN fails the chain of comparisons too
         if s["n_phases"] < 1 or not -math.inf < s["phase_lo"] < s["phase_hi"] < math.inf:
             raise ValueError("empty or unbounded phase range")
+        if s["word_length"] < 1:
+            raise ValueError(f"word_length {s['word_length']} is below 1")
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .boundary import BoundaryPoint, PointSet, ball_rows, point_set, standard_rows
+from .boundary import BoundaryPoint, PointSet, ball_rows, lifts, point_set, standard_rows
 from .circles import (
     Arc,
     ArcRelation,
@@ -39,14 +39,11 @@ from .hermitian import (
     ElementClass,
     GeometryError,
     GroupElement,
-    IndeterminateClassError,
     TOL_DEDUP,
     TOL_LIFT,
     _box,
-    _classify_rows,
     _herm,
     _tame,
-    _unit_det,
 )
 
 
@@ -57,26 +54,17 @@ def brentq(f, a, b, **kwargs):
     return solve(f, a, b, **kwargs)
 
 
-def _axis_ends(m: np.ndarray) -> PointSet:
-    """Repelling, then attracting fixed point of each element of a stack.
-
-    Raises unless every element is loxodromic.
-    """
-    kinds, _, attracting, repelling, r = _classify_rows(m)
-    bad = np.flatnonzero(kinds != ElementClass.LOXODROMIC)
-    if bad.size:
-        if kinds[bad[0]] is None:
-            raise IndeterminateClassError(
-                f"leading modulus {r[bad[0]]:.12f} inside the tolerance band"
-            )
-        raise GeometryError("axis at infinity requires a loxodromic element")
-    fixed = np.stack([repelling, attracting], axis=1).reshape(-1, 3)
-    return point_set(fixed, TOL_LIFT)
-
-
 def axis_at_infinity(g: GroupElement) -> Arc:
-    """Arc from the repelling to the attracting fixed point of g."""
-    return Arc(*_axis_ends(g.matrix[None]).points)
+    """Arc from the repelling to the attracting fixed point of g.
+
+    The fixed points are the ones `classify` finds; GeometryError unless g
+    is loxodromic.
+    """
+    cls = g.classification
+    if cls.kind is not ElementClass.LOXODROMIC:
+        raise GeometryError("axis at infinity requires a loxodromic element")
+    attracting, repelling = cls.fixed_points
+    return Arc(*point_set(np.stack([repelling, attracting]), TOL_LIFT).points)
 
 
 @dataclass(frozen=True)
@@ -95,29 +83,25 @@ def build_crown(
 ) -> Crown:
     """Crown arcs for all distinct cosets g<gamma> with |g| <= length.
 
-    Cosets are deduplicated by the unordered fixed-point pair of the
-    conjugated element: conjugates share an axis exactly when they share
-    their fixed points.  One enumeration serves the arcs and the limit
-    set: the words up to the shorter length are a prefix of the longer
-    list.  All conjugates are classified by one eig call.
+    The axis of g gamma g^-1 is g applied to the axis of gamma, so the
+    ends of every arc are the word matrices' images of the core's two end
+    rows.  Cosets are deduplicated by the unordered end pair: conjugates
+    share an axis exactly when they share their fixed points.  One
+    enumeration serves the arcs and the limit set: the words up to the
+    shorter length are a prefix of the longer list.
     """
-    gamma = rep.word(gamma_word)
-    if gamma.classification.kind is not ElementClass.LOXODROMIC:
-        raise GeometryError("crown core element must be loxodromic")
+    core = axis_at_infinity(rep.word(gamma_word))  # raises unless loxodromic
     if limit_length is None:
         limit_length = max(length, 6)
     words = enumerate_words(rep, max(length, limit_length))
     n_arcs = bisect.bisect_right([len(w) for w, _ in words], length)
-    g = np.array([w.matrix for _, w in words[1:n_arcs]]).reshape(-1, 3, 3)
-    # g gamma g^-1, normalized after each product as GroupElement's @ does
-    conj = _unit_det(_unit_det(g @ gamma.matrix) @ _unit_det(np.linalg.inv(g)))
-    ends = _axis_ends(np.concatenate([gamma.matrix[None], conj]))
+    g = np.array([w.matrix for _, w in words[:n_arcs]])  # words[0] is the identity
+    ends = point_set((lifts((core.start, core.end)) @ g.swapaxes(1, 2)).reshape(-1, 3), TOL_LIFT)
     key = ball_rows(ends.rows).view(float).reshape(-1, 2, 4)
     pair = np.stack([key.reshape(-1, 8), key[:, ::-1].reshape(-1, 8)], axis=1)
-    k = np.flatnonzero(_Dedup(TOL_DEDUP).keep(pair))
-    labels = [""] + [w for w, _ in words[1:n_arcs]]
-    arcs = tuple(
-        (labels[i], Arc(a, b))
+    k = np.flatnonzero(_Dedup(TOL_DEDUP).keep(pair))[1:]  # the first, the core, is kept
+    arcs = (("", core),) + tuple(
+        (words[i][0], Arc(a, b))
         for i, a, b in zip(k.tolist(), ends[2 * k].points, ends[2 * k + 1].points)
     )
     ls = _limit_sample(words, limit_length)

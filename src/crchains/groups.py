@@ -60,6 +60,8 @@ class TriangleParams:
     phase: float = math.pi
 
     def __post_init__(self):
+        if not math.isfinite(self.phase):
+            raise GeometryError(f"Gram phase {self.phase} is not finite")
         if min(self.p, self.q, self.r) < 2:
             raise GeometryError("triangle orders must be at least 2")
         if 1 / self.p + 1 / self.q + 1 / self.r >= 1:

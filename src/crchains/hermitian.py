@@ -185,13 +185,14 @@ def _is_lift(v: np.ndarray) -> np.ndarray:
 
 def point_type(v: np.ndarray, tol_null: float = TOL_NULL) -> PointType:
     """The sign class of the row v: NULL when its relative null margin
-    |<v, v>| / |v|^2 is below tol_null, else the sign of <v, v>.
+    |<v, v>| / |v|^2 is below tol_null, else the sign of <v, v>.  Read on
+    the `_tame`d row, so a huge finite row does not overflow.
 
     GeometryError on a zero or non-finite row, which is no point.
     """
     if not _is_lift(v):
         raise GeometryError("a zero or non-finite row is not a lift")
-    margin = _null_margin(v)
+    margin = _null_margin(_tame(v))
     if abs(margin) < tol_null:
         return PointType.NULL
     return PointType.NEGATIVE if margin < 0 else PointType.POSITIVE

@@ -222,9 +222,6 @@ class SweepResult:
             for r in self.rows
         ]
 
-    def to_csv(self) -> str:
-        return rows_to_csv(self.row_dicts())
-
     def to_json(
         self,
         runtime: float | None = None,

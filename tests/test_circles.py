@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from crchains import circles
-from crchains.boundary import INFINITY, BoundaryPoint, cartan
+from crchains.boundary import INFINITY, BoundaryPoint, PointSet, cartan
 from crchains.circles import (
     Arc,
     ArcRelation,
@@ -26,7 +26,7 @@ from crchains.circles import (
     foliation_leaf_rcircle,
     min_collinearity,
     spiral_curve,
-    spiral_point,
+    spiral_rows,
 )
 from crchains.groups import diagonal_loxodromic
 from crchains.hermitian import (
@@ -396,20 +396,25 @@ class TestBentLeaf:
 
 
 class TestSpiral:
+    @staticmethod
+    def point(a, s):
+        """The spiral's point at s, read off `spiral_rows`."""
+        return PointSet(spiral_rows(a, [s]), np.zeros(1, dtype=bool)).points[0]
+
     def test_horizontality_relation(self):
         # every spiral point satisfies t = 3 a |z|^2
         a = 0.3
         for s in np.linspace(-4, 4, 17):
-            p = spiral_point(a, float(s))
+            p = self.point(a, float(s))
             assert p.t == pytest.approx(3 * a * abs(p.z) ** 2, rel=1e-12)
 
     def test_invariant_under_generator(self):
         a = 0.3
         g = diagonal_loxodromic(1 + a * 1j, 1.0)
-        p = spiral_point(a, 0.7)
+        p = self.point(a, 0.7)
         q = p.apply(g)
         # the image is the spiral point at shifted parameter
-        expected = spiral_point(a, 1.7)
+        expected = self.point(a, 1.7)
         assert q.close_to(expected, 1e-9)
 
     def test_curve_endpoints(self):

@@ -166,6 +166,17 @@ class TestSweepCommand:
             assert len((out / "sweep.csv").read_text().splitlines()) == 3
         assert "resume: 2 phases already complete" in capsys.readouterr().out
 
+    def test_word_length_below_one_is_a_config_error(self, tmp_path, capsys):
+        # every phase would fail: refused before an output directory is made
+        for n in (0, -1):
+            cfg = tmp_path / f"cfg{n}.json"
+            cfg.write_text(json.dumps({"word_length": n, "n_phases": 2}))
+            out = tmp_path / f"o{n}"
+            code = main(["sweep", "--config", str(cfg), "--out", str(out)])
+            assert code == 2
+            assert f"config error: word_length {n} is below 1" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_resume_refuses_other_config(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = tmp_path / "cfg.json"
@@ -269,6 +280,18 @@ class TestCrownCommand:
             assert code == 2
             assert f"config error: word_length {n} is below 1" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_non_finite_phase_is_a_precondition_failure(self, tmp_path, capsys):
+        # Python's json reads NaN; the Gram phase refuses it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"phase": NaN, "word_length": 2}')
+        out = tmp_path / "o"
+        code = main(["crown", "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("precondition failure: Gram phase nan is not finite")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_non_loxodromic_core(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

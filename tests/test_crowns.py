@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from crchains.boundary import BoundaryPoint, PointSet, lifts
+from crchains.boundary import BoundaryPoint, PointSet
 from crchains.slimness import sup_cartan
 from crchains.circles import (
     Arc,
@@ -19,7 +19,7 @@ from crchains.circles import (
     bent_curve,
     foliation_leaf_rcircle,
     spiral_curve,
-    spiral_point,
+    spiral_rows,
 )
 from crchains import crowns
 from crchains.crowns import (
@@ -44,6 +44,7 @@ from crchains.hermitian import (
     GeometryError,
     GroupElement,
     IndeterminateClassError,
+    _CAYLEY,
     _proportional,
     box,
     herm_inner,
@@ -174,6 +175,38 @@ def test_r3_maps_the_core_to_its_complement(tau):
     assert t < 0 and res < 1e-12
 
 
+def test_crown_ends_near_the_cusp_match_the_conjugates_at_60_digits():
+    """Near the parabolic end the crown's ends, the word matrices' images of
+    the core's fixed points, lie within 1e-8 chordal of the fixed points of
+    each conjugate g gamma g^-1 computed at 60 digits from the float64
+    generators.  Classifying each float64 conjugate misses this by 2.5e-8."""
+    import mpmath
+
+    rep = triangle_group_at_tau(3, 3, 4, 3 + 1e-7)
+    crown = build_crown(rep, "3212", 6)
+    assert len(crown.arcs) == 24
+    with mpmath.workdps(60):
+        gens = [mpmath.matrix(g.matrix.tolist()) for g in rep.generators]
+        cayley = mpmath.matrix(_CAYLEY.tolist())
+
+        def word(letters):
+            m = mpmath.eye(3)
+            for c in letters:
+                m = m * gens["123".index(c)]
+            return m
+
+        gamma = word("3212")
+        for label, arc in crown.arcs:
+            g = word(label)
+            vals, vecs = mpmath.eig(g * gamma * mpmath.inverse(g))
+            order = sorted(range(3), key=lambda k: abs(vals[k]))
+            # repelling (least modulus) at the start, attracting at the end
+            for k, p in ((order[0], arc.start), (order[2], arc.end)):
+                b = cayley * vecs[:, k]
+                ref = np.array([complex(b[0] / b[2]), complex(b[1] / b[2])])
+                assert np.linalg.norm(ref - p.ball_coords()) <= 1e-8
+
+
 class TestEmbeddedness:
     def test_fuchsian_crown_embedded(self, fuchsian_crown):
         report = embeddedness(fuchsian_crown)
@@ -279,7 +312,7 @@ class TestCrossingDetector:
         a = 0.2960712345
         curve = _curve_fn_from_sample(spiral_curve(a))
         for s in (-6.0, -0.5, 1e-6, 2.0, 5.0, 20.0):
-            assert curve([s]).tobytes() == lifts([spiral_point(a, s)]).tobytes()
+            assert curve([s]).tobytes() == spiral_rows(a, [s]).tobytes()
 
 
 class TestExport:

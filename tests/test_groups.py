@@ -38,6 +38,7 @@ from crchains.hermitian import (
     classify,
     herm_inner,
 )
+from crchains.slimness import sweep
 
 TAU_FUCHSIAN = 2 + 2 * math.sqrt(2)
 
@@ -50,6 +51,17 @@ class TestTriangleParams:
     def test_small_order_rejected(self):
         with pytest.raises(GeometryError):
             TriangleParams(1, 7, 7)
+
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected(self, phase):
+        """A non-finite Gram phase is a GeometryError, not numpy's
+        LinAlgError from the Gram matrix; a sweep records the failed row and
+        goes on."""
+        with pytest.raises(GeometryError, match="Gram phase .* is not finite"):
+            TriangleParams(3, 3, 4, phase)
+        result = sweep(3, 3, 4, [phase, math.pi], 3)
+        assert [row.error is None for row in result.rows] == [True, False]
+        assert "is not finite" in result.rows[1].error
 
     def test_gram_phase(self):
         params = TriangleParams(3, 3, 4, 3.5)
@@ -330,6 +342,16 @@ def _pairwise_crown_arcs(rep, gamma_word, words, eps=1e-6):
     return arcs
 
 
+def _assert_same_arcs(arcs, ref):
+    """The coset labels of ref, and every end within 1e-12 chordal: the
+    crown transports the core's ends by the word matrices, which rounds
+    otherwise than the eigenvectors of each conjugate."""
+    assert [label for label, _ in arcs] == [label for label, _ in ref]
+    for (_, arc), (_, ref_arc) in zip(arcs, ref):
+        assert arc.start.chordal(ref_arc.start) <= 1e-12
+        assert arc.end.chordal(ref_arc.end) <= 1e-12
+
+
 def _per_pair_embeddedness(crown):
     """embeddedness as it was when every pair recomputed both supports."""
     arcs = crown.arcs
@@ -365,8 +387,9 @@ def _point_bits(points):
 
 @pytest.mark.parametrize("phase", [math.pi, 3.9, 4.2742])
 def test_dedup_matches_pairwise_reference(phase):
-    """Vectorised dedup keeps exactly what the pairwise loops kept, and the
-    crown's arcs give what the per-pair and per-point loops gave."""
+    """Vectorised dedup keeps exactly what the pairwise loops kept, the
+    crown's arcs are the conjugates' axes, and they give what the per-pair
+    and per-point loops gave."""
     rep = triangle_group(TriangleParams(3, 3, 4, phase))
     words = enumerate_words(rep, 7)
     ref = _pairwise_words(rep, 7)
@@ -378,7 +401,7 @@ def test_dedup_matches_pairwise_reference(phase):
 
     crown = build_crown(rep, "3212", 4, limit_length=4)
     ref_arcs = _pairwise_crown_arcs(rep, "3212", enumerate_words(rep, 4))
-    assert list(crown.arcs) == ref_arcs
+    _assert_same_arcs(crown.arcs, ref_arcs)
 
     assert embeddedness(crown) == _per_pair_embeddedness(crown)
     arcs = [arc for _, arc in crown.arcs]  # supports cached by now
@@ -415,7 +438,7 @@ def test_crown_takes_arcs_and_limit_set_from_one_enumeration(monkeypatch):
     crown = build_crown(rep, "3212", 4, limit_length=6)
     assert calls == [6]
     # the arcs come from the length-4 prefix of the length-6 list
-    assert list(crown.arcs) == _pairwise_crown_arcs(rep, "3212", enumerate_words(rep, 4))
+    _assert_same_arcs(crown.arcs, _pairwise_crown_arcs(rep, "3212", enumerate_words(rep, 4)))
     assert crown.limit_sample.points == limit_set(rep, 6).points
 
 

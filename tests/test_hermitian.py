@@ -124,6 +124,21 @@ class TestPointType:
         v = np.array([1.0, 0.0, 0.0])
         assert point_type(v) is PointType.NULL
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_row_keeps_its_sign(self):
+        """A row past 1e154 is tamed before its margin is taken: |v|^2 does
+        not overflow to a NaN margin read as POSITIVE, so a C-circle or a
+        mirror refuses it."""
+        from crchains.circles import CCircle
+        from crchains.groups import complex_reflection
+
+        v = 1e200 * np.array([-1.0, 0.0, 1.0])
+        assert point_type(v) is PointType.NEGATIVE
+        with pytest.raises(GeometryError, match="must be positive"):
+            CCircle(v)
+        with pytest.raises(GeometryError, match="positive-type"):
+            complex_reflection(v)
+
 
 class TestGroupElement:
     def test_determinant_normalized(self):

@@ -21,6 +21,7 @@ from crchains.slimness import (
     _screen,
     hyperconvexity,
     parabolic_obstruction_demo,
+    rows_to_csv,
     sup_cartan,
     sweep,
 )
@@ -137,7 +138,7 @@ class TestSweep:
         import io
 
         result = sweep(3, 3, 4, [math.pi, 3.9], word_length=6)
-        rows = list(csv.DictReader(io.StringIO(result.to_csv())))
+        rows = list(csv.DictReader(io.StringIO(rows_to_csv(result.row_dicts()))))
         assert len(rows) == 2
         assert {"phase", "tau_re", "tau_im", "n_points", "sup_estimate"} <= set(
             rows[0]
